@@ -211,7 +211,8 @@ class PiecewiseDensity:
 
         On a breakpoint the left segment's height is reported, so plateau
         heights are stable when queried at their right edge.  Points within
-        ``EPS`` of a breakpoint snap to it.
+        ``EPS`` of a breakpoint snap to it; points outside the breakpoints
+        that do not snap read zero.
         """
         bp = self.breakpoints
         if not bp or x < bp[0] - EPS or x > bp[-1] + EPS:
@@ -220,6 +221,10 @@ class PiecewiseDensity:
         for idx in (j - 1, j):
             if 0 <= idx < len(bp) and abs(bp[idx] - x) <= EPS:
                 return self.heights[0] if idx == 0 else self.heights[idx - 1]
+        if j == 0 or j == len(bp):
+            # within EPS of an end by the range test, but not by the snap
+            # test: the two round differently
+            return 0.0
         return self.heights[j - 1]
 
     @property

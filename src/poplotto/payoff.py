@@ -115,11 +115,3 @@ def dyad_payoff(dyad: Dyad, aggregate: PiecewiseDensity) -> float:
         + (1.0 - lam) * aggregate.cdf(dyad.high).midpoint
     )
 
-
-def population_payoff(f: PiecewiseDensity, aggregate: PiecewiseDensity) -> float:
-    """Average payoff of strategy ``f`` against the whole population.
-
-    In an infinite population every opponent is effectively a draw from the
-    aggregate, so this is just ``win_prob(f, aggregate)``.
-    """
-    return win_prob(f, aggregate)

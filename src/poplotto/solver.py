@@ -18,14 +18,15 @@ The pour has three regimes, dispatched per group:
   last terrace is flooded flush, the two merge, and the remaining mass is
   poured with the mean adjusted to conserve the group total.
 
-Every step keeps the group's mass and mean exact by construction; `solve`
-re-checks both and reports the offending group on any drift.
+Every step keeps the group's mass and mean exact by construction; the pour
+loop re-checks both and reports the offending group on any drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .density import EPS, PiecewiseDensity, mixture
 
@@ -290,6 +291,23 @@ def _pour(
         mass = leftover
 
 
+def _pour_group(
+    bounds: list[float], levels: list[float], budget: float, mass: float
+) -> PiecewiseDensity:
+    """Pour one group into the terrace lists in place and return its slab."""
+    budget = float(budget)
+    mass = float(mass)
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ValueError(f"budget must be positive and finite, got {budget}")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    pieces: list[tuple[float, float, float]] = []
+    _pour(bounds, levels, budget, mass, pieces)
+    return mixture(
+        [(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces]
+    )
+
+
 def fill(
     profile: TerraceProfile, budget: float, mass: float
 ) -> tuple[TerraceProfile, PiecewiseDensity]:
@@ -298,34 +316,29 @@ def fill(
     The budget must exceed every budget already poured; violations surface
     as :class:`SolverError` when the slab cannot settle.
     """
-    budget = float(budget)
-    mass = float(mass)
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be positive and finite, got {budget}")
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive and finite, got {mass}")
     bounds = list(profile.bounds)
     levels = list(profile.levels)
-    pieces: list[tuple[float, float, float]] = []
-    _pour(bounds, levels, budget, mass, pieces)
-    slab = mixture(
-        [(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces]
-    )
+    slab = _pour_group(bounds, levels, budget, mass)
     return TerraceProfile(tuple(bounds), tuple(levels)), slab
 
 
-def solve(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
-    """Equilibrium strategies for every group plus the population aggregate.
+def iter_pours(
+    dist: DiscreteBudgetDistribution,
+) -> Iterator[tuple[SubPopulation, list[float], list[float]]]:
+    """Pour the groups in budget order, one checked group per step.
 
-    Pours groups in increasing budget order.  The returned strategies carry
-    their group masses, so the aggregate equals their plain (unweighted)
-    mixture.
+    Yields each solved group with the live terrace ``bounds`` and ``levels``
+    lists right after its pour; the lists are mutated by the next step, so
+    copy them to keep a snapshot.  Because every pour depends only on the
+    groups poured before it and is homogeneous of degree one in mass, the
+    terraces after group j are the equilibrium of the first j groups with
+    their levels multiplied by those groups' mass share.
     """
-    profile = TerraceProfile((0.0,), (math.inf,))
-    groups = []
+    bounds = [0.0]
+    levels = [math.inf]
     for index, (budget, mass) in enumerate(dist.entries):
         try:
-            profile, slab = fill(profile, budget, mass)
+            slab = _pour_group(bounds, levels, budget, mass)
         except SolverError as exc:
             raise SolverError(f"group {index}: {exc}", group_index=index) from exc
         if (
@@ -336,5 +349,19 @@ def solve(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
                 f"group {index}: poured slab drifted from its mass or mean",
                 group_index=index,
             )
-        groups.append(SubPopulation(budget, mass, slab))
+        yield SubPopulation(budget, mass, slab), bounds, levels
+
+
+def solve(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
+    """Equilibrium strategies for every group plus the population aggregate.
+
+    Pours groups in increasing budget order in one pass over mutable
+    terrace lists; the terrace profile is built and validated once, from
+    the final state.  The returned strategies carry their group masses, so
+    the aggregate equals their plain (unweighted) mixture.
+    """
+    groups = []
+    for group, bounds, levels in iter_pours(dist):
+        groups.append(group)
+    profile = TerraceProfile(tuple(bounds), tuple(levels))
     return EquilibriumSolution(tuple(groups), profile.as_density())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ from .solver import (
     DiscreteBudgetDistribution,
     EquilibriumSolution,
     SubPopulation,
-    solve,
+    TerraceProfile,
+    iter_pours,
 )
 
 
@@ -71,6 +72,25 @@ class LeaguePartition:
         return {"leagues": [lg.to_dict() for lg in self.leagues]}
 
 
+def _height_classes(
+    agg: PiecewiseDensity, budgets: Sequence[float], tol: float
+) -> tuple[list[float], list[list[int]]]:
+    """Aggregate height at each budget, and the groups chained by height.
+
+    Groups are visited tallest first (ties by budget), and each joins the
+    previous class when its height is within ``tol`` of the last member's.
+    """
+    heights = [agg.height_at(b) for b in budgets]
+    order = sorted(range(len(budgets)), key=lambda i: (-heights[i], budgets[i]))
+    classes: list[list[int]] = []
+    for i in order:
+        if classes and abs(heights[classes[-1][-1]] - heights[i]) <= tol:
+            classes[-1].append(i)
+        else:
+            classes.append([i])
+    return heights, classes
+
+
 def leagues(sol: EquilibriumSolution, tol: float = EPS) -> LeaguePartition:
     """Partition groups by the aggregate height at their budgets.
 
@@ -80,17 +100,9 @@ def leagues(sol: EquilibriumSolution, tol: float = EPS) -> LeaguePartition:
     league's height.
     """
     agg = sol.aggregate
-    n = len(sol.groups)
-    heights = [agg.height_at(g.budget) for g in sol.groups]
-    order = sorted(range(n), key=lambda i: (-heights[i], sol.groups[i].budget))
-    groups_out: list[list[int]] = []
-    for i in order:
-        if groups_out and abs(heights[groups_out[-1][-1]] - heights[i]) <= tol:
-            groups_out[-1].append(i)
-        else:
-            groups_out.append([i])
+    heights, classes = _height_classes(agg, sol.budgets, tol)
     built = []
-    for members in groups_out:
+    for members in classes:
         c = heights[members[0]]
         runs: list[tuple[float, float]] = []
         for lo, hi, h in agg.segments():
@@ -139,26 +151,38 @@ def sub_leagues(
 ) -> SubLeagueReport:
     """Find latent leagues: sets that are leagues only below some cutoff.
 
-    Solves every budget truncation of the population and records league
-    sets that do not survive into the full equilibrium, together with the
-    truncation thresholds at which they appear.  Singletons are skipped: a
-    lone group is a league in any truncation, so it says nothing about
-    groups merging.  Only one level of nesting is reported; sub-leagues of
-    sub-leagues show up under their own thresholds rather than recursively.
+    Reads the league partition of every budget truncation off a single
+    pour of the population: after group j the terraces are the truncated
+    equilibrium with its levels scaled by the first j groups' mass share,
+    so dividing the levels by that share gives the truncation's heights,
+    on which the absolute ``tol`` applies.  Records league sets that do not
+    survive into the full equilibrium, together with the truncation
+    thresholds at which they appear.  Singletons are skipped: a lone group
+    is a league in any truncation, so it says nothing about groups merging.
+    Only one level of nesting is reported; sub-leagues of sub-leagues show
+    up under their own thresholds rather than recursively.
     """
-    full_partition = leagues(solve(dist), tol)
-    full_sets = set(full_partition.member_sets())
+    groups: list[SubPopulation] = []
+    budgets: list[float] = []
+    share = 0.0
     found: dict[tuple[int, ...], list[float]] = {}
-    for count in range(1, len(dist)):
-        part = leagues(solve(dist.prefix(count)), tol)
-        threshold = dist.budgets[count - 1]
-        for lg in part.leagues:
-            if len(lg.members) < 2 or frozenset(lg.members) in full_sets:
-                continue
-            found.setdefault(lg.members, []).append(threshold)
+    for group, bounds, levels in iter_pours(dist):
+        groups.append(group)
+        budgets.append(group.budget)
+        share += group.mass
+        if len(groups) == len(dist):
+            continue
+        agg = PiecewiseDensity(bounds, [level / share for level in levels[1:]])
+        for members in _height_classes(agg, budgets, tol)[1]:
+            if len(members) > 1:
+                found.setdefault(tuple(sorted(members)), []).append(group.budget)
+    full = TerraceProfile(tuple(bounds), tuple(levels)).as_density()
+    full_partition = leagues(EquilibriumSolution(tuple(groups), full), tol)
+    full_sets = set(full_partition.member_sets())
     subs = tuple(
         SubLeague(members=members, thresholds=tuple(ts))
         for members, ts in sorted(found.items())
+        if frozenset(members) not in full_sets
     )
     return SubLeagueReport(full=full_partition, sub_leagues=subs)
 
@@ -247,6 +271,15 @@ class TransitivityReport:
         }
 
 
+_NOTIONS = (
+    "weak_stochastic",
+    "strong_stochastic",
+    "certainty",
+    "dominance",
+    "establishment",
+)
+
+
 def transitivity_report(
     matrix: OutcomeMatrix, tol: float = EPS
 ) -> TransitivityReport:
@@ -258,30 +291,44 @@ def transitivity_report(
     dominance: an expected win followed by a sure win chains to a sure win.
     establishment: a sure win followed by an expected win chains to a sure
     win; this is the one notion equilibrium populations can break.
+
+    Vectorised one ``i`` at a time over the ``(j, k)`` plane, so memory
+    stays O(n^2).  Rows are the j whose result against i can open a
+    hypothesis, and reading each mask in row-major order lists the triples
+    in ``itertools.permutations`` order.
     """
     W = matrix.probs
     sure = 1.0 - tol
-    weak, strong, certain, dominance, establishment = [], [], [], [], []
-    for i, j, k in permutations(range(matrix.n), 3):
-        wji, wkj, wki = W[j, i], W[k, j], W[k, i]
-        if wji >= 0.5 and wkj >= 0.5:
-            if wki < 0.5 - tol:
-                weak.append((i, j, k))
-            if wki < max(wji, wkj) - tol:
-                strong.append((i, j, k))
-        if wji >= sure and wkj >= sure and wki < sure:
-            certain.append((i, j, k))
-        if wji >= 0.5 and wkj >= sure and wki < sure:
-            dominance.append((i, j, k))
-        if wji >= sure and wkj >= 0.5 and wki < sure:
-            establishment.append((i, j, k))
+    cols = np.arange(matrix.n)
+    found: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _NOTIONS}
+    for i in range(matrix.n):
+        w = W[:, i]  # each group's result against i, read at j and at k
+        rows = np.flatnonzero((w >= min(0.5, sure)) & (cols != i))
+        if not rows.size:
+            continue
+        wji = w[rows, None]
+        wki = w[None, :]
+        wkj = W[:, rows].T
+        # k ranges over everyone but i and j
+        other = (cols[None, :] != rows[:, None]) & (cols[None, :] != i)
+        wins = (wkj >= 0.5) & other
+        sure_wins = (wkj >= sure) & other
+        expected = wji >= 0.5
+        certain = wji >= sure
+        falls = wki < sure
+        chained = expected & wins
+        masks = (
+            chained & (wki < 0.5 - tol),
+            chained & (wki < np.maximum(wji, wkj) - tol),
+            certain & sure_wins & falls,
+            expected & sure_wins & falls,
+            certain & wins & falls,
+        )
+        for name, mask in zip(_NOTIONS, masks):
+            j, k = np.nonzero(mask)
+            found[name].extend(zip([i] * len(j), rows[j].tolist(), k.tolist()))
     return TransitivityReport(
-        tol=tol,
-        weak_stochastic=tuple(weak),
-        strong_stochastic=tuple(strong),
-        certainty=tuple(certain),
-        dominance=tuple(dominance),
-        establishment=tuple(establishment),
+        tol=tol, **{name: tuple(triples) for name, triples in found.items()}
     )
 
 

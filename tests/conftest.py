@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 
-from poplotto import DiscreteBudgetDistribution, solve
+import numpy as np
+import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
+
+from poplotto import DiscreteBudgetDistribution, SolverError, solve
 from poplotto.structure import dice_to_population, search_dice_triple
 
 
@@ -12,6 +17,46 @@ def budget_rows(*rows: tuple[float, float]) -> DiscreteBudgetDistribution:
     return DiscreteBudgetDistribution.from_dict(
         {"subpopulations": [{"budget": b, "mass": m} for b, m in rows]}
     )
+
+
+def criterion3_rows(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+    """The generator of acceptance criterion 3.
+
+    Log-uniform budgets on [0.1, 100] at least 1e-4 apart and Dirichlet(1)
+    masses above 1e-9.
+    """
+    while True:
+        budgets = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(100.0), n)))
+        if n == 1 or np.min(np.diff(budgets)) > 1e-4:
+            break
+    while True:
+        masses = rng.dirichlet(np.ones(n))
+        if masses.min() > 1e-9:
+            break
+    return [(float(b), float(m)) for b, m in zip(budgets, masses)]
+
+
+@st.composite
+def scaled_populations(draw, max_groups: int = 25) -> DiscreteBudgetDistribution:
+    """A criterion-3 population in a budget unit drawn from [1e-6, 1e6]."""
+    n = draw(st.integers(1, max_groups))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exponent = draw(st.sampled_from([0.0]) | st.floats(-6.0, 6.0))
+    scale = 10.0**exponent
+    rows = criterion3_rows(np.random.default_rng(seed), n)
+    try:
+        return DiscreteBudgetDistribution(tuple((b * scale, m) for b, m in rows))
+    except ValueError:
+        # budgets closer than the absolute EPS once scaled down
+        reject()
+
+
+def document_or_error(fn, *args) -> str:
+    """The JSON document of what ``fn`` returns, or the error it raises."""
+    try:
+        return json.dumps(fn(*args).to_dict())
+    except (ValueError, SolverError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # Nine groups: three closely bunched low budgets, four mid budgets, one

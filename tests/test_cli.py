@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poplotto
 from poplotto import SolverError
 from poplotto.cli import main
 
@@ -244,3 +249,28 @@ def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert main(["solve", src]) == 3
     captured = capsys.readouterr()
     assert "solver failure" in captured.err
+
+
+def test_verify_sliver_past_the_aggregate_fails_cleanly(tmp_path):
+    """A strategy ending 2e-9 past the aggregate is a mixture gap, not a crash."""
+    solution = {
+        "subpopulations": [{"budget": 0.5 + 2e-9, "mass": 1.0}],
+        "strategies": [
+            {"breakpoints": [2e-9, 1.0 + 2e-9], "heights": [1.0], "atoms": []}
+        ],
+        "aggregate": {"breakpoints": [0.0, 1.0], "heights": [1.0], "atoms": []},
+    }
+    src = write_json(tmp_path, "sliver.json", solution)
+    package_root = str(Path(poplotto.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "poplotto.cli", "verify", src],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["nash"]["mixture_gap"] > 1e-9

@@ -48,6 +48,22 @@ def test_halfopen_segments_and_left_height_rule():
     assert d.height_at(3.0) == 0.0
 
 
+def test_height_at_is_total_just_outside_the_ends():
+    """Points the range test keeps but the snap test rejects read zero.
+
+    ``x - bp[-1]`` can round above ``EPS`` while ``x <= bp[-1] + EPS``
+    still holds, and likewise at the left end.
+    """
+    right = PiecewiseDensity.uniform(2e-9, 1.0 + 2e-9)
+    x = right.breakpoints[-1] + EPS
+    assert abs(x - right.breakpoints[-1]) > EPS and not x > right.breakpoints[-1] + EPS
+    assert right.height_at(x) == 0.0
+    left = PiecewiseDensity((0.5, 1.0, 2.0), (2.0, 1.0))
+    x = 0.499999999
+    assert abs(left.breakpoints[0] - x) > EPS and not x < left.breakpoints[0] - EPS
+    assert left.height_at(x) == 0.0
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         PiecewiseDensity((0.0, 1.0), (0.5, 0.5))

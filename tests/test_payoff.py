@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplotto import Dyad, PiecewiseDensity, dyad_payoff, population_payoff, win_prob
+from poplotto import Dyad, PiecewiseDensity, dyad_payoff, win_prob
 
 
 def lopsided_pair(a: float, b: float) -> tuple[PiecewiseDensity, PiecewiseDensity]:
@@ -87,10 +87,13 @@ def test_win_prob_requires_unit_mass():
         win_prob(unit, half)
 
 
-def test_population_payoff_is_win_prob():
+def test_population_payoff_is_win_prob(pair_sol):
+    """Against an infinite population the payoff is a contest with the aggregate."""
     f = PiecewiseDensity.uniform(0.0, 2.0)
-    g = PiecewiseDensity.uniform(0.0, 3.0)
-    assert population_payoff(f, g) == win_prob(f, g)
+    by_group = sum(
+        g.mass * win_prob(f, g.strategy.normalized()) for g in pair_sol.groups
+    )
+    assert win_prob(f, pair_sol.aggregate) == pytest.approx(by_group, abs=1e-12)
 
 
 def test_dyad_validation_and_weight():

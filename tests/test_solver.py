@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from poplotto import (
     DiscreteBudgetDistribution,
     EquilibriumSolution,
     PiecewiseDensity,
     SolverError,
+    SubPopulation,
     TerraceProfile,
     fill,
     mixture,
@@ -20,7 +22,12 @@ from poplotto import (
     step_gap,
     win_prob,
 )
-from tests.conftest import NINE_ROWS, budget_rows
+from tests.conftest import (
+    NINE_ROWS,
+    budget_rows,
+    document_or_error,
+    scaled_populations,
+)
 
 
 @pytest.mark.parametrize("budget", [0.5, 1.0, 7.0])
@@ -178,10 +185,10 @@ def test_fill_unreachable_mean_raises():
 
 
 def test_solve_wraps_group_index(monkeypatch):
-    def boom(profile, budget, mass):
+    def boom(bounds, levels, budget, mass):
         raise SolverError("boom")
 
-    monkeypatch.setattr("poplotto.solver.fill", boom)
+    monkeypatch.setattr("poplotto.solver._pour_group", boom)
     with pytest.raises(SolverError, match="group 0: boom") as err:
         solve(budget_rows((1.0, 1.0)))
     assert err.value.group_index == 0
@@ -189,13 +196,12 @@ def test_solve_wraps_group_index(monkeypatch):
 
 def test_solve_rejects_drifting_slab(monkeypatch):
     # a slab that comes back light should be caught by the reconstruction
-    def leaky(profile, budget, mass):
-        return (
-            TerraceProfile((0.0, 2.0), (math.inf, 0.45)),
-            PiecewiseDensity.uniform(0.0, 2.0, 0.9),
-        )
+    def leaky(bounds, levels, budget, mass):
+        bounds.append(2.0)
+        levels.append(0.45)
+        return PiecewiseDensity.uniform(0.0, 2.0, 0.9)
 
-    monkeypatch.setattr("poplotto.solver.fill", leaky)
+    monkeypatch.setattr("poplotto.solver._pour_group", leaky)
     with pytest.raises(SolverError, match="drifted") as err:
         solve(budget_rows((1.0, 1.0)))
     assert err.value.group_index == 0
@@ -251,3 +257,37 @@ def test_prefix_solutions_embed_in_full_solve():
         for i in range(count):
             rescaled = part.groups[i].strategy.scaled(share)
             assert step_gap(full.groups[i].strategy, rescaled) <= 1e-9
+
+
+def _solve_by_fill(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
+    """Reference solve: chain the public ``fill`` over immutable profiles."""
+    profile = TerraceProfile((0.0,), (math.inf,))
+    groups = []
+    for index, (budget, mass) in enumerate(dist.entries):
+        try:
+            profile, slab = fill(profile, budget, mass)
+        except SolverError as exc:
+            raise SolverError(f"group {index}: {exc}", group_index=index) from exc
+        if (
+            abs(slab.total_mass - mass) > 1e-7
+            or abs(slab.mean() - budget) > 1e-7 * max(1.0, budget)
+        ):
+            raise SolverError(
+                f"group {index}: poured slab drifted from its mass or mean",
+                group_index=index,
+            )
+        groups.append(SubPopulation(budget, mass, slab))
+    return EquilibriumSolution(tuple(groups), profile.as_density())
+
+
+@given(scaled_populations())
+@settings(deadline=None, max_examples=80)
+def test_solve_matches_chained_fill(dist):
+    """The in-place pour loop cannot drift from the public fill."""
+    assert document_or_error(solve, dist) == document_or_error(_solve_by_fill, dist)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_solve_matches_chained_fill_on_nine(scale):
+    dist = budget_rows(*((b * scale, m) for b, m in NINE_ROWS))
+    assert document_or_error(solve, dist) == document_or_error(_solve_by_fill, dist)

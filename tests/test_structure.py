@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poplotto import (
     DiscreteBudgetDistribution,
@@ -22,6 +25,9 @@ from poplotto.structure import (
     League,
     LeaguePartition,
     OutcomeMatrix,
+    SubLeague,
+    SubLeagueReport,
+    TransitivityReport,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -32,7 +38,12 @@ from poplotto.structure import (
     sub_leagues,
     transitivity_report,
 )
-from tests.conftest import budget_rows
+from tests.conftest import (
+    NINE_ROWS,
+    budget_rows,
+    document_or_error,
+    scaled_populations,
+)
 
 
 def test_leagues_pair_single_tread(pair_sol):
@@ -102,6 +113,50 @@ def test_sub_leagues_of_nine(nine_dist):
     ]
     assert report.full.member_sets() == [frozenset(range(8)), frozenset({8})]
     json.dumps(report.to_dict())
+
+
+def _sub_leagues_by_resolving(
+    dist: DiscreteBudgetDistribution, tol: float = 1e-9
+) -> SubLeagueReport:
+    """Reference sub-leagues: solve every budget truncation from scratch."""
+    full_partition = leagues(solve(dist), tol)
+    full_sets = set(full_partition.member_sets())
+    found: dict[tuple[int, ...], list[float]] = {}
+    for count in range(1, len(dist)):
+        part = leagues(solve(dist.prefix(count)), tol)
+        threshold = dist.budgets[count - 1]
+        for lg in part.leagues:
+            if len(lg.members) < 2 or frozenset(lg.members) in full_sets:
+                continue
+            found.setdefault(lg.members, []).append(threshold)
+    subs = tuple(
+        SubLeague(members=members, thresholds=tuple(ts))
+        for members, ts in sorted(found.items())
+    )
+    return SubLeagueReport(full=full_partition, sub_leagues=subs)
+
+
+@given(scaled_populations())
+@settings(deadline=None, max_examples=60)
+def test_sub_leagues_match_resolved_truncations(dist):
+    expected = document_or_error(_sub_leagues_by_resolving, dist)
+    assert document_or_error(sub_leagues, dist) == expected
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_sub_leagues_of_scaled_nine_match_resolved_truncations(scale):
+    dist = budget_rows(*((b * scale, m) for b, m in NINE_ROWS))
+    expected = document_or_error(_sub_leagues_by_resolving, dist)
+    assert document_or_error(sub_leagues, dist) == expected
+
+
+def test_sub_leagues_never_solve(nine_dist, monkeypatch):
+    def forbidden(dist):
+        raise AssertionError("sub_leagues must read truncations off one pour")
+
+    monkeypatch.setattr("poplotto.solver.solve", forbidden)
+    monkeypatch.setattr("poplotto.structure.solve", forbidden, raising=False)
+    assert len(sub_leagues(nine_dist).sub_leagues) == 5
 
 
 def test_outcome_matrix_wide_is_sure(wide_sol):
@@ -183,6 +238,67 @@ def test_transitivity_report_serializes(dice_pop):
     assert set(data) == {"tol", "flags", "violations"}
     assert data["violations"]["weak_stochastic"] == [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
     json.dumps(data)
+
+
+def _transitivity_by_loop(matrix: OutcomeMatrix, tol: float) -> TransitivityReport:
+    """Reference audit: one Python comparison chain per ordered triple."""
+    W = matrix.probs
+    sure = 1.0 - tol
+    weak, strong, certain, dominance, establishment = [], [], [], [], []
+    for i, j, k in permutations(range(matrix.n), 3):
+        wji, wkj, wki = W[j, i], W[k, j], W[k, i]
+        if wji >= 0.5 and wkj >= 0.5:
+            if wki < 0.5 - tol:
+                weak.append((i, j, k))
+            if wki < max(wji, wkj) - tol:
+                strong.append((i, j, k))
+        if wji >= sure and wkj >= sure and wki < sure:
+            certain.append((i, j, k))
+        if wji >= 0.5 and wkj >= sure and wki < sure:
+            dominance.append((i, j, k))
+        if wji >= sure and wkj >= 0.5 and wki < sure:
+            establishment.append((i, j, k))
+    return TransitivityReport(
+        tol=tol,
+        weak_stochastic=tuple(weak),
+        strong_stochastic=tuple(strong),
+        certainty=tuple(certain),
+        dominance=tuple(dominance),
+        establishment=tuple(establishment),
+    )
+
+
+@st.composite
+def audited_matrices(draw) -> tuple[OutcomeMatrix, float]:
+    """Antisymmetric matrices crowded with values on the audit's thresholds."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.1, 0.6]))
+    delta = draw(st.sampled_from([1e-16, 2.0**-52, 1e-12, 1e-6]))
+    edges = (0.0, 0.5, 1.0, 0.7, 0.7 - tol, 1.0 - tol)
+    nudged = (1.0 - tol + delta, 1.0 - tol - delta, 0.5 - delta, 0.5 + delta)
+    value = st.sampled_from(edges + nudged) | st.floats(0.0, 1.0)
+    n = draw(st.integers(0, 9))
+    probs = np.full((n, n), 0.5)
+    for i in range(n):
+        for j in range(i + 1, n):
+            probs[i, j] = draw(value)
+            probs[j, i] = 1.0 - probs[i, j]
+    return OutcomeMatrix(probs), tol
+
+
+@given(audited_matrices())
+@settings(deadline=None, max_examples=150)
+def test_transitivity_matches_triple_loop(case):
+    matrix, tol = case
+    expected = json.dumps(_transitivity_by_loop(matrix, tol).to_dict())
+    assert json.dumps(transitivity_report(matrix, tol).to_dict()) == expected
+
+
+def test_transitivity_matches_triple_loop_on_fixtures(nine_sol, dice_pop, near_tie_sol):
+    for sol in (nine_sol, dice_pop, near_tie_sol):
+        matrix = outcome_matrix(sol)
+        for tol in (1e-15, 1e-9, 0.1):
+            report = transitivity_report(matrix, tol)
+            assert report == _transitivity_by_loop(matrix, tol)
 
 
 def test_single_die_embedding():
