@@ -172,18 +172,19 @@ def _cmd_analyze(config: RunConfig) -> tuple[str, list[str], int]:
 
 def _cmd_dice(config: RunConfig) -> tuple[str, list[str], int]:
     if config.input is None:
-        faces = search_dice_triple()
+        dice = search_dice_triple()
     else:
         data = _read_json(config.input)
         if "dice" not in data:
             raise ValueError("dice input needs a top-level 'dice' list")
-        faces = tuple(tuple(int(v) for v in die) for die in data["dice"])
-    pop = dice_to_population(faces)
+        dice = data["dice"]
+    pop = dice_to_population(dice)
+    faces = [[int(v) for v in die] for die in dice]
     matrix = outcome_matrix(pop)
     transitivity = transitivity_report(matrix, config.tol)
     nash = verify_nash(pop, config.tol)
     payload = {
-        "dice": [list(die) for die in faces],
+        "dice": faces,
         **pop.to_dict(),
         "reports": {
             "nash": nash.to_dict(),
@@ -194,7 +195,7 @@ def _cmd_dice(config: RunConfig) -> tuple[str, list[str], int]:
     }
     machine = json.dumps(payload, indent=2) + "\n"
     n = matrix.n
-    summary = [f"dice: {list(die)}" for die in faces]
+    summary = [f"dice: {die}" for die in faces]
     for i in range(n):
         for j in range(i + 1, n):
             summary.append(f"P(die {i} beats die {j}) = {matrix.probs[i, j]:.6g}")

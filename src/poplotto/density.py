@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,6 +201,8 @@ class PiecewiseDensity:
             elif x > bp[0]:
                 j = bisect.bisect_right(bp, x) - 1
                 below = self._seg_cum[j] + self.heights[j] * (x - bp[j])
+        if not self._atom_locs:
+            return CdfValue(below, 0.0)
         lo = bisect.bisect_left(self._atom_locs, x - EPS)
         hi = bisect.bisect_right(self._atom_locs, x + EPS)
         below += self._atom_cum[lo]
@@ -218,9 +221,10 @@ class PiecewiseDensity:
         if not bp or x < bp[0] - EPS or x > bp[-1] + EPS:
             return 0.0
         j = bisect.bisect_left(bp, x)
-        for idx in (j - 1, j):
-            if 0 <= idx < len(bp) and abs(bp[idx] - x) <= EPS:
-                return self.heights[0] if idx == 0 else self.heights[idx - 1]
+        if j and x - bp[j - 1] <= EPS:
+            return self.heights[max(j - 2, 0)]
+        if j < len(bp) and bp[j] - x <= EPS:
+            return self.heights[max(j - 1, 0)]
         if j == 0 or j == len(bp):
             # within EPS of an end by the range test, but not by the snap
             # test: the two round differently
@@ -230,18 +234,12 @@ class PiecewiseDensity:
     @property
     def support(self) -> tuple[float, float] | None:
         """Hull of the support, or None for the zero density."""
-        lo = math.inf
-        hi = -math.inf
-        for s_lo, s_hi, h in self.segments():
-            if h > 0.0:
-                lo = min(lo, s_lo)
-                hi = max(hi, s_hi)
-        for loc, _ in self.atoms:
-            lo = min(lo, loc)
-            hi = max(hi, loc)
-        if lo > hi:
+        # construction trims zero-height end segments and sorts the atoms
+        bp, locs = self.breakpoints, self._atom_locs
+        ends = (*bp[:1], *bp[-1:], *locs[:1], *locs[-1:])
+        if not ends:
             return None
-        return lo, hi
+        return min(ends), max(ends)
 
     def support_runs(self) -> list[tuple[float, float]]:
         """Maximal intervals of positive height, atoms as zero-width runs."""
@@ -324,23 +322,48 @@ class PiecewiseDensity:
         return cls(bp, hs, atoms)
 
 
+def refine(
+    points: Iterable[float],
+    densities: Sequence[PiecewiseDensity],
+    merge: bool = True,
+    within: PiecewiseDensity | None = None,
+) -> tuple[list[float], list[list[float]]]:
+    """Common refinement of step densities: cells cut at ``points``.
+
+    Sorts the points; ``merge`` drops each within ``EPS`` of the last kept,
+    so the cells are ``zip(edges, edges[1:])``, else cells narrower than
+    ``EPS`` are skipped.  Returns the edges and each density's ``height_at``
+    at every cell midpoint, zero beyond ``EPS`` outside the breakpoints of
+    ``within`` when given.
+    """
+    edges = sorted(points)
+    if merge:
+        kept = edges[:1]
+        for x in edges[1:]:
+            if x - kept[-1] >= EPS:
+                kept.append(x)
+        edges = kept
+    mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:]) if hi - lo >= EPS]
+    if within is None:
+        return edges, [list(map(dens.height_at, mids)) for dens in densities]
+    bp = within.breakpoints
+    start = bisect.bisect_left(mids, bp[0] - EPS) if bp else 0
+    stop = bisect.bisect_right(mids, bp[-1] + EPS) if bp else 0
+    rows = [[0.0] * len(mids) for _ in densities]
+    for row, dens in zip(rows, densities):
+        row[start:stop] = map(dens.height_at, mids[start:stop])
+    return edges, rows
+
+
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     """Largest pointwise difference between two densities.
 
     Compares segment heights on the union grid and atom masses at pooled
     locations; zero means the densities describe the same measure.
     """
-    pts = sorted(set(a.breakpoints) | set(b.breakpoints))
-    gap = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        if hi - lo < EPS:
-            continue
-        mid = 0.5 * (lo + hi)
-        gap = max(gap, abs(a.height_at(mid) - b.height_at(mid)))
-    locs = sorted(
-        set(loc for loc, _ in a.atoms) | set(loc for loc, _ in b.atoms)
-    )
-    for loc in locs:
+    _, (ha, hb) = refine((*a.breakpoints, *b.breakpoints), (a, b), merge=False)
+    gap = max(map(abs, map(operator.sub, ha, hb)), default=0.0)
+    for loc in {loc for loc, _ in a.atoms + b.atoms}:
         gap = max(gap, abs(a.cdf(loc).at - b.cdf(loc).at))
     return gap
 
@@ -365,13 +388,8 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
         atoms.extend((loc, weight * mass) for loc, mass in dens.atoms)
     if not pts:
         return PiecewiseDensity((), (), tuple(atoms))
-    grid = sorted(set(pts))
-    merged = [grid[0]]
-    for x in grid[1:]:
-        if x - merged[-1] >= EPS:
-            merged.append(x)
-    heights = []
-    for lo, hi in zip(merged, merged[1:]):
-        mid = 0.5 * (lo + hi)
-        heights.append(sum(w * d.height_at(mid) for w, d in active))
-    return PiecewiseDensity(tuple(merged), tuple(heights), tuple(atoms))
+    weights, densities = zip(*active)
+    edges, rows = refine(pts, densities)
+    # one builtin sum per cell, parts in order: the order shows in output bytes
+    heights = [sum(map(operator.mul, weights, cell)) for cell in zip(*rows)]
+    return PiecewiseDensity(tuple(edges), tuple(heights), tuple(atoms))

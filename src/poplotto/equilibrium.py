@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import EPS, PiecewiseDensity, mixture, step_gap
+from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
 from .payoff import Dyad, dyad_payoff, win_prob
 from .solver import EquilibriumSolution, DiscreteBudgetDistribution, SubPopulation
+from .solver import positive_finite
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,9 @@ def _flat_violation(
     lo, hi = hull
     if hi - lo <= EPS:
         return 0.0
-    pts = sorted({lo, hi, *(x for x in aggregate.breakpoints if lo < x < hi)})
-    seen: list[float] = []
-    for a, b in zip(pts, pts[1:]):
-        if b - a < EPS:
-            continue
-        seen.append(aggregate.height_at(0.5 * (a + b)))
+    inner = [x for x in aggregate.breakpoints if lo < x < hi]
+    # a hull without inner breakpoints is one cell, whose spread is zero
+    seen = refine((lo, hi, *inner), (aggregate,), merge=False)[1][0] if inner else []
     spread = max(seen) - min(seen) if seen else 0.0
     atom_breach = max(
         (mass for loc, mass in aggregate.atoms if lo + EPS < loc < hi - EPS),
@@ -273,8 +271,7 @@ def best_dyad(
     cumulative curve the optimum lies on that grid, so the search is exact.
     Returns the best dyad and its gain over staying at the budget point.
     """
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be positive and finite, got {budget}")
+    budget = positive_finite("budget", budget)
     pts = {0.0, *aggregate.breakpoints, *(loc for loc, _ in aggregate.atoms)}
     sup = aggregate.support
     top = max(sup[1] if sup else 0.0, budget) + 1.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import EPS, PiecewiseDensity
+from .density import PiecewiseDensity, refine
 
 # Slack allowed when checking that contest inputs carry unit mass.
 UNIT_MASS_TOL = 1e-6
@@ -77,22 +77,15 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     """
     _require_unit_mass(f, "first")
     _require_unit_mass(h, "second")
-    pts = set(f.breakpoints) | set(h.breakpoints)
-    pts.update(loc for loc, _ in f.atoms)
-    pts.update(loc for loc, _ in h.atoms)
-    grid = sorted(pts)
-    merged: list[float] = []
-    for x in grid:
-        if not merged or x - merged[-1] >= EPS:
-            merged.append(x)
+    pts = [*f.breakpoints, *h.breakpoints]
+    for loc, _ in f.atoms + h.atoms:
+        pts.append(loc)
+    edges, (f_heights, h_heights) = refine(pts, (f, h), within=f)
     total = 0.0
-    for lo, hi in zip(merged, merged[1:]):
-        mid = 0.5 * (lo + hi)
-        f_height = f.height_at(mid)
+    for lo, hi, f_height, h_height in zip(edges, edges[1:], f_heights, h_heights):
         if f_height <= 0.0:
             continue
         start = h.cdf(lo)
-        h_height = h.height_at(mid)
         width = hi - lo
         total += f_height * (
             start.inclusive * width + 0.5 * h_height * width * width

@@ -43,6 +43,13 @@ class SolverError(RuntimeError):
         self.group_index = group_index
 
 
+def positive_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DiscreteBudgetDistribution:
     """Finite budget distribution: (budget, mass) rows, increasing budgets.
@@ -54,17 +61,10 @@ class DiscreteBudgetDistribution:
     entries: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        rows = []
-        for budget, mass in self.entries:
-            budget = float(budget)
-            mass = float(mass)
-            if not (math.isfinite(budget) and math.isfinite(mass)):
-                raise ValueError("budgets and masses must be finite")
-            if budget <= 0.0:
-                raise ValueError(f"budgets must be positive, got {budget}")
-            if mass <= 0.0:
-                raise ValueError(f"masses must be positive, got {mass}")
-            rows.append((budget, mass))
+        rows = [
+            (positive_finite("budget", b), positive_finite("mass", m))
+            for b, m in self.entries
+        ]
         if not rows:
             raise ValueError("at least one subpopulation is required")
         for (b1, _), (b2, _) in zip(rows, rows[1:]):
@@ -195,18 +195,18 @@ class EquilibriumSolution:
             rows = data["subpopulations"]
             strategies = data["strategies"]
             aggregate = PiecewiseDensity.from_dict(data["aggregate"])
+            if len(rows) != len(strategies):
+                raise ValueError("subpopulations and strategies must align")
+            groups = tuple(
+                SubPopulation(
+                    positive_finite("budget", row["budget"]),
+                    positive_finite("mass", row["mass"]),
+                    PiecewiseDensity.from_dict(strat),
+                )
+                for row, strat in zip(rows, strategies)
+            )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed solution record: {exc}") from exc
-        if len(rows) != len(strategies):
-            raise ValueError("subpopulations and strategies must align")
-        groups = tuple(
-            SubPopulation(
-                float(row["budget"]),
-                float(row["mass"]),
-                PiecewiseDensity.from_dict(strat),
-            )
-            for row, strat in zip(rows, strategies)
-        )
         return cls(groups, aggregate)
 
 
@@ -295,12 +295,8 @@ def _pour_group(
     bounds: list[float], levels: list[float], budget: float, mass: float
 ) -> PiecewiseDensity:
     """Pour one group into the terrace lists in place and return its slab."""
-    budget = float(budget)
-    mass = float(mass)
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be positive and finite, got {budget}")
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive and finite, got {mass}")
+    budget = positive_finite("budget", budget)
+    mass = positive_finite("mass", mass)
     pieces: list[tuple[float, float, float]] = []
     _pour(bounds, levels, budget, mass, pieces)
     return mixture(

@@ -13,14 +13,14 @@ rewiring that demonstrates how loosely the matrix is pinned down.
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .density import EPS, PiecewiseDensity, mixture
+from .density import EPS, PiecewiseDensity, mixture, refine
 from .payoff import win_prob
 from .solver import (
     DiscreteBudgetDistribution,
@@ -197,6 +197,8 @@ class OutcomeMatrix:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError("outcome matrix must be square")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("outcome matrix entries must be finite")
         if probs.size:
             if np.max(np.abs(np.diagonal(probs) - 0.5)) > 1e-12:
                 raise ValueError("outcome matrix diagonal must be one half")
@@ -339,8 +341,10 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     spreads 1/faces of its mass per face; repeated faces stack.  The group
     budget is the strategy's mean, pip total over faces minus one half.
     """
-    if not dice:
-        raise ValueError("at least one die is required")
+    if not (isinstance(dice, Sequence) and dice):
+        raise ValueError("dice must be a non-empty list of face lists")
+    if not all(isinstance(die, Sequence) for die in dice):
+        raise ValueError("each die must be a list of face values")
     counts = {len(die) for die in dice}
     if counts == {0} or len(counts) != 1:
         raise ValueError("all dice must have the same positive face count")
@@ -349,8 +353,8 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     groups = []
     for die in dice:
         for v in die:
-            if float(v) != int(v) or int(v) < 1:
-                raise ValueError(f"face values must be integers >= 1, got {v}")
+            if not (isinstance(v, numbers.Real) and v >= 1 and float(v).is_integer()):
+                raise ValueError(f"face values must be integers >= 1, got {v!r}")
         strategy = mixture(
             [
                 (share / faces, PiecewiseDensity.uniform(float(v) - 1.0, float(v)))
@@ -419,35 +423,25 @@ def search_dice_triple() -> tuple[tuple[int, ...], ...]:
 
 def _min_height(dens: PiecewiseDensity, lo: float, hi: float) -> float:
     """Smallest density height across ``[lo, hi]``."""
-    pts = sorted({lo, hi, *(x for x in dens.breakpoints if lo < x < hi)})
-    out = math.inf
-    for a, b in zip(pts, pts[1:]):
-        if b - a < EPS:
-            continue
-        out = min(out, dens.height_at(0.5 * (a + b)))
-    return out if math.isfinite(out) else 0.0
+    pts = (lo, hi, *(x for x in dens.breakpoints if lo < x < hi))
+    _, (heights,) = refine(pts, (dens,), merge=False)
+    return min(heights, default=0.0)
 
 
 def _patched(
     dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
 ) -> PiecewiseDensity:
     """Add a flat delta per cell to a density."""
-    pts = sorted(
-        {*dens.breakpoints, *(edge for cell in cells for edge in cell)}
-    )
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] >= EPS:
-            merged.append(x)
+    pts = (*dens.breakpoints, *(edge for cell in cells for edge in cell))
+    edges, (base,) = refine(pts, (dens,))
     heights = []
-    for lo, hi in zip(merged, merged[1:]):
+    for lo, hi, h in zip(edges, edges[1:], base):
         mid = 0.5 * (lo + hi)
-        h = dens.height_at(mid)
         for (c_lo, c_hi), delta in zip(cells, deltas):
             if c_lo <= mid < c_hi:
                 h += delta
         heights.append(max(h, 0.0))
-    return PiecewiseDensity(tuple(merged), tuple(heights), dens.atoms)
+    return PiecewiseDensity(tuple(edges), tuple(heights), dens.atoms)
 
 
 def _slice_swap(

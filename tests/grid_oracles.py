@@ -1,0 +1,167 @@
+"""Reference cell-by-cell loops behind the common-refinement routine.
+
+Each function below rebuilds its own union grid and reads ``height_at`` at
+every cell midpoint, as the package did before ``density.refine`` took over;
+``height_at`` is the density method as it was then, with its loop over the
+two snap candidates.  They are kept only as oracles: ``tests/test_refine.py``
+checks that the rewritten functions give exactly the same output.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from typing import Sequence
+
+from poplotto.density import EPS, PiecewiseDensity
+
+
+def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
+    pts = sorted(set(a.breakpoints) | set(b.breakpoints))
+    gap = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        if hi - lo < EPS:
+            continue
+        mid = 0.5 * (lo + hi)
+        gap = max(gap, abs(height_at(a, mid) - height_at(b, mid)))
+    locs = sorted(
+        set(loc for loc, _ in a.atoms) | set(loc for loc, _ in b.atoms)
+    )
+    for loc in locs:
+        gap = max(gap, abs(a.cdf(loc).at - b.cdf(loc).at))
+    return gap
+
+
+def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity:
+    pts: list[float] = []
+    atoms: list[tuple[float, float]] = []
+    active: list[tuple[float, PiecewiseDensity]] = []
+    for weight, dens in parts:
+        weight = float(weight)
+        if not math.isfinite(weight) or weight < 0.0:
+            raise ValueError("mixture weights must be non-negative and finite")
+        if weight == 0.0:
+            continue
+        active.append((weight, dens))
+        pts.extend(dens.breakpoints)
+        atoms.extend((loc, weight * mass) for loc, mass in dens.atoms)
+    if not pts:
+        return PiecewiseDensity((), (), tuple(atoms))
+    grid = sorted(set(pts))
+    merged = [grid[0]]
+    for x in grid[1:]:
+        if x - merged[-1] >= EPS:
+            merged.append(x)
+    heights = []
+    for lo, hi in zip(merged, merged[1:]):
+        mid = 0.5 * (lo + hi)
+        heights.append(sum(w * height_at(d, mid) for w, d in active))
+    return PiecewiseDensity(tuple(merged), tuple(heights), tuple(atoms))
+
+
+def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
+    """The contest integral without the unit-mass checks of ``payoff.win_prob``."""
+    pts = set(f.breakpoints) | set(h.breakpoints)
+    pts.update(loc for loc, _ in f.atoms)
+    pts.update(loc for loc, _ in h.atoms)
+    grid = sorted(pts)
+    merged: list[float] = []
+    for x in grid:
+        if not merged or x - merged[-1] >= EPS:
+            merged.append(x)
+    total = 0.0
+    for lo, hi in zip(merged, merged[1:]):
+        mid = 0.5 * (lo + hi)
+        f_height = height_at(f, mid)
+        if f_height <= 0.0:
+            continue
+        start = h.cdf(lo)
+        h_height = height_at(h, mid)
+        width = hi - lo
+        total += f_height * (
+            start.inclusive * width + 0.5 * h_height * width * width
+        )
+    for loc, mass in f.atoms:
+        total += mass * h.cdf(loc).midpoint
+    return total
+
+
+def flat_violation(
+    aggregate: PiecewiseDensity, hull: tuple[float, float] | None
+) -> float:
+    if hull is None:
+        return 0.0
+    lo, hi = hull
+    if hi - lo <= EPS:
+        return 0.0
+    pts = sorted({lo, hi, *(x for x in aggregate.breakpoints if lo < x < hi)})
+    seen: list[float] = []
+    for a, b in zip(pts, pts[1:]):
+        if b - a < EPS:
+            continue
+        seen.append(height_at(aggregate, 0.5 * (a + b)))
+    spread = max(seen) - min(seen) if seen else 0.0
+    atom_breach = max(
+        (mass for loc, mass in aggregate.atoms if lo + EPS < loc < hi - EPS),
+        default=0.0,
+    )
+    return max(spread, atom_breach)
+
+
+def min_height(dens: PiecewiseDensity, lo: float, hi: float) -> float:
+    pts = sorted({lo, hi, *(x for x in dens.breakpoints if lo < x < hi)})
+    out = math.inf
+    for a, b in zip(pts, pts[1:]):
+        if b - a < EPS:
+            continue
+        out = min(out, height_at(dens, 0.5 * (a + b)))
+    return out if math.isfinite(out) else 0.0
+
+
+def patched(
+    dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
+) -> PiecewiseDensity:
+    pts = sorted(
+        {*dens.breakpoints, *(edge for cell in cells for edge in cell)}
+    )
+    merged = [pts[0]]
+    for x in pts[1:]:
+        if x - merged[-1] >= EPS:
+            merged.append(x)
+    heights = []
+    for lo, hi in zip(merged, merged[1:]):
+        mid = 0.5 * (lo + hi)
+        h = height_at(dens, mid)
+        for (c_lo, c_hi), delta in zip(cells, deltas):
+            if c_lo <= mid < c_hi:
+                h += delta
+        heights.append(max(h, 0.0))
+    return PiecewiseDensity(tuple(merged), tuple(heights), dens.atoms)
+
+
+def height_at(dens: PiecewiseDensity, x: float) -> float:
+    bp = dens.breakpoints
+    if not bp or x < bp[0] - EPS or x > bp[-1] + EPS:
+        return 0.0
+    j = bisect.bisect_left(bp, x)
+    for idx in (j - 1, j):
+        if 0 <= idx < len(bp) and abs(bp[idx] - x) <= EPS:
+            return dens.heights[0] if idx == 0 else dens.heights[idx - 1]
+    if j == 0 or j == len(bp):
+        return 0.0
+    return dens.heights[j - 1]
+
+
+def support(dens: PiecewiseDensity) -> tuple[float, float] | None:
+    lo = math.inf
+    hi = -math.inf
+    for s_lo, s_hi, h in dens.segments():
+        if h > 0.0:
+            lo = min(lo, s_lo)
+            hi = max(hi, s_hi)
+    for loc, _ in dens.atoms:
+        lo = min(lo, loc)
+        hi = max(hi, loc)
+    if lo > hi:
+        return None
+    return lo, hi

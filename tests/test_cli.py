@@ -30,6 +30,19 @@ NEAR_TIE = {
 }
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m poplotto.cli args`` in a subprocess that imports this package."""
+    package_root = str(Path(poplotto.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "poplotto.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -211,7 +224,33 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         },
     )
     assert main(["solve", unsorted]) == 1
+    src = write_json(tmp_path, "pair.json", PAIR)
+    solution = tmp_path / "solution.json"
+    assert main(["solve", src, "--out", str(solution)]) == 0
+    good = json.loads(solution.read_text())
+    malformed = {
+        "no_budget": lambda d: d["subpopulations"][0].pop("budget"),
+        "rows_not_a_list": lambda d: d.update(subpopulations=3),
+        "zero_budget": lambda d: d["subpopulations"][0].update(budget=0),
+        "nan_budget": lambda d: d["subpopulations"][0].update(budget=float("nan")),
+        "huge_budget": lambda d: d["subpopulations"][0].update(budget=float("inf")),
+        "negative_mass": lambda d: d["subpopulations"][1].update(mass=-0.5),
+    }
+    for name, spoil in malformed.items():
+        doc = json.loads(json.dumps(good))
+        spoil(doc)
+        # json writes inf as Infinity; 1e400 is how a JSON file spells it
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 1, name
+    for dice in ([[1.5, 2], [3, 4]], [1, 2], 5, [[1, None]], [[1, "2"]]):
+        assert main(["dice", write_json(tmp_path, "dice.json", {"dice": dice})]) == 1
     capsys.readouterr()
+    proc = run_cli("verify", str(tmp_path / "no_budget.json"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "malformed solution record" in proc.stderr
 
 
 def test_invalid_arguments_exit_one(tmp_path, capsys):
@@ -260,17 +299,7 @@ def test_verify_sliver_past_the_aggregate_fails_cleanly(tmp_path):
         ],
         "aggregate": {"breakpoints": [0.0, 1.0], "heights": [1.0], "atoms": []},
     }
-    src = write_json(tmp_path, "sliver.json", solution)
-    package_root = str(Path(poplotto.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "poplotto.cli", "verify", src],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_cli("verify", write_json(tmp_path, "sliver.json", solution))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["nash"]["mixture_gap"] > 1e-9

@@ -1,0 +1,179 @@
+"""The six grid-walking functions against their cell-by-cell reference loops.
+
+Every function that works on the common refinement of step densities now
+calls ``density.refine``.  Each is compared with the loop it replaced
+(``tests/grid_oracles.py``), and ``height_at`` with its earlier form, by
+exact equality of serialised output.
+Breakpoints are drawn at {0, 0.3, 0.5, 0.6, 0.9, 1, 1.2, 2} x EPS from one
+another, next to ordinary gaps, so that merging chains of close points,
+dropping sliver cells and snapping midpoints onto breakpoints all occur.
+"""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poplotto.density import EPS, PiecewiseDensity, mixture, refine, step_gap
+from poplotto.equilibrium import _flat_violation
+from poplotto.payoff import win_prob
+from poplotto.structure import _min_height, _patched
+from tests import grid_oracles as oracle
+
+OFFSETS = tuple(k * EPS for k in (0.0, 0.3, 0.5, 0.6, 0.9, 1.0, 1.2, 2.0))
+GAPS = st.sampled_from(OFFSETS) | st.sampled_from((0.25, 0.5, 1.0))
+HEIGHTS = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0)) | st.floats(0.0, 3.0)
+
+
+def same(a, b) -> bool:
+    return json.dumps(a) == json.dumps(b)
+
+
+@st.composite
+def lattices(draw) -> list[float]:
+    """Sorted candidate points: a start plus cumulative gaps, many of them tiny."""
+    start = draw(st.sampled_from((0.0, 0.5 * EPS, 1.0)))
+    points = [start]
+    for gap in draw(st.lists(GAPS, min_size=3, max_size=12)):
+        points.append(points[-1] + gap)
+    return points
+
+
+@st.composite
+def densities(draw, lattice: list[float], atoms: bool = True) -> PiecewiseDensity:
+    picked = sorted(
+        set(draw(st.lists(st.sampled_from(lattice), min_size=2, max_size=8)))
+    )
+    if len(picked) < 2:
+        picked = [lattice[0], lattice[-1] + 1.0]
+    heights = draw(st.lists(HEIGHTS, min_size=len(picked) - 1, max_size=len(picked) - 1))
+    point_masses = []
+    if atoms:
+        point_masses = draw(
+            st.lists(st.tuples(st.sampled_from(lattice), HEIGHTS), max_size=2)
+        )
+    return PiecewiseDensity(tuple(picked), tuple(heights), tuple(point_masses))
+
+
+@st.composite
+def density_pairs(draw, atoms: bool = True):
+    lattice = draw(lattices())
+    return draw(densities(lattice, atoms)), draw(densities(lattice, atoms)), lattice
+
+
+@given(density_pairs())
+@settings(deadline=None, max_examples=200)
+def test_step_gap_matches_reference(case):
+    a, b, _ = case
+    assert same(step_gap(a, b), oracle.step_gap(a, b))
+
+
+@st.composite
+def mixture_parts(draw):
+    lattice = draw(lattices())
+    weights = st.sampled_from((0.0, 0.5, 1.0, 3.0)) | st.floats(0.0, 4.0)
+    return draw(
+        st.lists(st.tuples(weights, densities(lattice)), min_size=1, max_size=5)
+    )
+
+
+@given(mixture_parts())
+@settings(deadline=None, max_examples=200)
+def test_mixture_matches_reference(parts):
+    assert same(mixture(parts).to_dict(), oracle.mixture(parts).to_dict())
+
+
+@given(density_pairs())
+@settings(deadline=None, max_examples=200)
+def test_win_prob_matches_reference(case):
+    f, h, _ = case
+    if f.total_mass <= EPS or h.total_mass <= EPS:
+        return
+    f, h = f.normalized(), h.normalized()
+    assert same(win_prob(f, h), oracle.win_prob(f, h))
+
+
+@st.composite
+def hulls(draw, lattice: list[float]):
+    lo, hi = sorted(draw(st.lists(st.sampled_from(lattice), min_size=2, max_size=2)))
+    return lo, hi
+
+
+@given(density_pairs(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_flat_violation_matches_reference(case, data):
+    aggregate, strategy, lattice = case
+    hull = data.draw(st.none() | hulls(lattice) | st.just(strategy.support))
+    assert same(
+        _flat_violation(aggregate, hull), oracle.flat_violation(aggregate, hull)
+    )
+
+
+@given(density_pairs(atoms=False), st.data())
+@settings(deadline=None, max_examples=200)
+def test_min_height_matches_reference(case, data):
+    dens, _, lattice = case
+    lo, hi = data.draw(hulls(lattice))
+    assert same(_min_height(dens, lo, hi), oracle.min_height(dens, lo, hi))
+
+
+@given(density_pairs(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_patched_matches_reference(case, data):
+    dens, _, lattice = case
+    cells = data.draw(st.lists(hulls(lattice), min_size=1, max_size=3))
+    deltas = data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=len(cells), max_size=len(cells))
+    )
+    assert same(
+        _patched(dens, cells, deltas).to_dict(),
+        oracle.patched(dens, cells, deltas).to_dict(),
+    )
+
+
+@given(density_pairs(atoms=False), st.data())
+@settings(deadline=None, max_examples=200)
+def test_height_at_matches_reference(case, data):
+    dens, _, lattice = case
+    base = data.draw(st.sampled_from(lattice))
+    x = base + data.draw(st.sampled_from((0.0, *OFFSETS, *(-d for d in OFFSETS))))
+    assert same(dens.height_at(x), oracle.height_at(dens, x))
+
+
+@given(density_pairs())
+@settings(deadline=None, max_examples=200)
+def test_support_matches_reference(case):
+    dens, _, _ = case
+    assert same(dens.support, oracle.support(dens))
+
+
+def test_win_prob_reads_the_sliver_cell_past_the_strategy():
+    # the cell (1, 1 + 1.2 EPS) has its midpoint within EPS past f's last
+    # breakpoint, where f still reads its last height
+    f = PiecewiseDensity.uniform(0.0, 1.0)
+    h = PiecewiseDensity.uniform(1.0 + 1.2 * EPS, 2.0)
+    assert win_prob(f, h) > 0.0
+    assert same(win_prob(f, h), oracle.win_prob(f, h))
+
+
+def test_refine_merges_and_drops_slivers():
+    dens = PiecewiseDensity((0.0, 1.0, 2.0), (1.0, 2.0))
+    points = (0.0, 0.6 * EPS, 1.2 * EPS, 1.0, 2.0)
+    edges, (heights,) = refine(points, (dens,))
+    # 0.6 EPS merges into 0, then 1.2 EPS is EPS clear of 0 and stays
+    assert edges == [0.0, 1.2 * EPS, 1.0, 2.0]
+    assert heights == [1.0, 1.0, 2.0]
+    edges, (heights,) = refine(points, (dens,), merge=False)
+    # every point stays an edge, the two sliver cells get no reading
+    assert edges == list(points)
+    assert heights == [1.0, 2.0]
+
+
+def test_refine_reads_zero_outside_each_density():
+    low = PiecewiseDensity.uniform(0.0, 1.0)
+    high = PiecewiseDensity.uniform(2.0, 3.0)
+    edges, heights = refine((0.0, 1.0, 2.0, 3.0), (low, high, PiecewiseDensity()))
+    assert edges == [0.0, 1.0, 2.0, 3.0]
+    assert heights == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]

@@ -291,3 +291,17 @@ def test_solve_matches_chained_fill(dist):
 def test_solve_matches_chained_fill_on_nine(scale):
     dist = budget_rows(*((b * scale, m) for b, m in NINE_ROWS))
     assert document_or_error(solve, dist) == document_or_error(_solve_by_fill, dist)
+
+
+@pytest.mark.parametrize(
+    "budget, mass", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                     (1.0, 0.0), (1.0, -0.5), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_solution_record_rejects_bad_budget_or_mass(budget, mass):
+    record = {
+        "subpopulations": [{"budget": budget, "mass": mass}],
+        "strategies": [PiecewiseDensity.uniform(0.0, 2.0).to_dict()],
+        "aggregate": PiecewiseDensity.uniform(0.0, 2.0).to_dict(),
+    }
+    with pytest.raises(ValueError, match="positive and finite"):
+        EquilibriumSolution.from_dict(record)

@@ -187,6 +187,15 @@ def test_outcome_matrix_validation():
         matrix.probs[0, 1] = 0.2
 
 
+def test_outcome_matrix_rejects_nan():
+    nan = float("nan")
+    probs = np.array([[0.5, nan, 0.2], [nan, 0.5, 0.3], [0.8, 0.7, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeMatrix(probs)
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeMatrix(np.array([[nan]]))
+
+
 def test_transitivity_nine_breaks_establishment_only(nine_sol):
     report = transitivity_report(outcome_matrix(nine_sol), tol=1e-9)
     expected = tuple((i, j, 7) for i in range(3) for j in range(3, 7))
@@ -349,6 +358,12 @@ def test_dice_validation():
         dice_to_population([(0, 2, 3)])
     with pytest.raises(ValueError):
         dice_to_population([(1.5, 2, 3)])
+    with pytest.raises(ValueError):
+        dice_to_population([1, 2])
+    with pytest.raises(ValueError):
+        dice_to_population([(1, "2")])
+    with pytest.raises(ValueError):
+        dice_to_population([(1, float("inf"))])
 
 
 def test_lopsided_dice_are_not_an_equilibrium():
