@@ -102,24 +102,20 @@ def _league_lines(partition: LeaguePartition, budgets: tuple[float, ...]) -> lis
     return lines
 
 
-def _reports(sol: EquilibriumSolution, tol: float) -> dict:
-    return {
-        "nash": verify_nash(sol, tol).to_dict(),
-        "linear_bounds": verify_linear_bounds(sol, tol).to_dict(),
-        "leagues": leagues(sol, tol).to_dict(),
-    }
-
-
 def _cmd_solve(config: RunConfig) -> tuple[str, list[str], int]:
     dist = _load_distribution(config.input)
     sol = solve(dist)
+    nash = verify_nash(sol, config.tol)
+    part = leagues(sol, config.tol)
     if config.fmt == "csv":
         machine = step_samples_csv(sol)
     else:
-        payload = {**sol.to_dict(), "reports": _reports(sol, config.tol)}
-        machine = json.dumps(payload, indent=2) + "\n"
-    part = leagues(sol, config.tol)
-    nash = verify_nash(sol, config.tol)
+        reports = {
+            "nash": nash.to_dict(),
+            "linear_bounds": verify_linear_bounds(sol, config.tol).to_dict(),
+            "leagues": part.to_dict(),
+        }
+        machine = json.dumps({**sol.to_dict(), "reports": reports}, indent=2) + "\n"
     summary = _league_lines(part, sol.budgets)
     summary.append(f"worst violation: {nash.worst():.3e}")
     return machine, summary, 0
@@ -149,7 +145,9 @@ def _cmd_analyze(config: RunConfig) -> tuple[str, list[str], int]:
     payload = {
         **sol.to_dict(),
         "reports": {
-            **_reports(sol, config.tol),
+            "nash": verify_nash(sol, config.tol).to_dict(),
+            "linear_bounds": verify_linear_bounds(sol, config.tol).to_dict(),
+            "leagues": leagues(sol, config.tol).to_dict(),
             "outcome_matrix": matrix.to_dict(),
             "transitivity": transitivity.to_dict(),
             "sub_leagues": subs.to_dict(),
@@ -207,6 +205,7 @@ def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
     dist = _load_distribution(config.input)
     sol = solve(dist)
     rewired = league_rewire(sol, config.league, seed=config.seed, tol=config.tol)
+    nash = verify_nash(rewired, config.tol)
     before = outcome_matrix(sol).probs
     after = outcome_matrix(rewired).probs
     flips = [
@@ -221,7 +220,7 @@ def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
         payload = {
             **rewired.to_dict(),
             "reports": {
-                "nash": verify_nash(rewired, config.tol).to_dict(),
+                "nash": nash.to_dict(),
                 "matrix_before": before.tolist(),
                 "matrix_after": after.tolist(),
                 "flips": flips,
@@ -236,8 +235,7 @@ def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
     summary = [
         f"league {config.league} rewired: {len(flips)} edge(s) flipped,"
         f" largest probability shift {changed:.3g}",
-        f"equilibrium after rewire: "
-        f"{'pass' if verify_nash(rewired, config.tol).passed else 'FAIL'}",
+        f"equilibrium after rewire: {'pass' if nash.passed else 'FAIL'}",
     ]
     return machine, summary, 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
 from .payoff import Dyad, dyad_payoff, win_prob
-from .solver import EquilibriumSolution, DiscreteBudgetDistribution, SubPopulation
+from .solver import EquilibriumSolution, DiscreteBudgetDistribution
 from .solver import positive_finite
 
 
@@ -151,50 +151,45 @@ def _flat_violation(
     return max(spread, atom_breach)
 
 
-def verify_nash(
-    sol: EquilibriumSolution, tol: float = EPS, with_payoffs: bool = True
-) -> EquilibriumReport:
-    """Certify the staircase conditions on a candidate solution.
-
-    Checks that the aggregate density never increases, that no cumulative
-    mass sits at zero, that the aggregate is constant across each group's
-    support hull, and that the strategies actually mix to the aggregate.
-    ``with_payoffs=False`` skips the per-group payoff sweep, which the
-    prefix re-certification uses to stay fast.
-    """
-    agg = sol.aggregate
+def _shape_checks(aggregate: PiecewiseDensity) -> dict:
+    """The aggregate's largest rise or interior atom, and its cumulative
+    mass at zero, keyed as ``EquilibriumReport`` fields."""
     rise = 0.0
-    heights = agg.heights
-    if heights and agg.breakpoints[0] > EPS:
+    heights = aggregate.heights
+    if heights and aggregate.breakpoints[0] > EPS:
         # support starts above zero, so the density rises from nothing
         rise = heights[0]
     for prev, nxt in zip(heights, heights[1:]):
         rise = max(rise, nxt - prev)
     interior_atom = max(
-        (mass for loc, mass in agg.atoms if loc > EPS), default=0.0
+        (mass for loc, mass in aggregate.atoms if loc > EPS), default=0.0
     )
-    monotone_violation = max(rise, interior_atom)
-    cdf_at_zero = agg.cdf(0.0).inclusive
+    return {
+        "monotone_violation": max(rise, interior_atom),
+        "cdf_at_zero": aggregate.cdf(0.0).inclusive,
+    }
+
+
+def verify_nash(sol: EquilibriumSolution, tol: float = EPS) -> EquilibriumReport:
+    """Certify the staircase conditions on a candidate solution.
+
+    Checks that the aggregate density never increases, that no cumulative
+    mass sits at zero, that the aggregate is constant across each group's
+    support hull, and that the strategies actually mix to the aggregate.
+    Each group's payoff against the aggregate is reported alongside.
+    """
+    agg = sol.aggregate
     blended = mixture([(1.0, g.strategy) for g in sol.groups])
-    gap = step_gap(blended, agg)
-    checks = []
-    for g in sol.groups:
-        payoff = None
-        if with_payoffs:
-            payoff = win_prob(g.strategy.normalized(), agg)
-        checks.append(
-            GroupCheck(
-                budget=g.budget,
-                payoff=payoff,
-                flat_violation=_flat_violation(agg, g.strategy.support),
-            )
+    checks = tuple(
+        GroupCheck(
+            budget=g.budget,
+            payoff=win_prob(g.strategy.normalized(), agg),
+            flat_violation=_flat_violation(agg, g.strategy.support),
         )
+        for g in sol.groups
+    )
     return EquilibriumReport(
-        tol=tol,
-        groups=tuple(checks),
-        monotone_violation=monotone_violation,
-        cdf_at_zero=cdf_at_zero,
-        mixture_gap=gap,
+        tol, checks, **_shape_checks(agg), mixture_gap=step_gap(blended, agg)
     )
 
 
@@ -320,15 +315,16 @@ def payoff_identity_check(sol: EquilibriumSolution, tol: float = EPS) -> float:
 
 
 def verify_subpop_consistency(
-    dist: DiscreteBudgetDistribution,
-    sol: EquilibriumSolution,
-    tol: float = EPS,
-    with_payoffs: bool = False,
+    dist: DiscreteBudgetDistribution, sol: EquilibriumSolution, tol: float = EPS
 ) -> list[PrefixCheck]:
     """Re-certify every budget-truncated prefix of the solution.
 
-    The prefix keeping the ``j`` lowest budgets is renormalized to unit
-    mass and must itself pass ``verify_nash``.  Solutions built by the
+    The prefix keeping the ``j`` lowest budgets is one running mixture of
+    their strategies, grown by one strategy per prefix and renormalized to
+    unit mass.  It must pass the shape checks of ``verify_nash`` and be
+    constant across each kept group's support hull.  Prefix reports carry
+    no payoffs and a null ``mixture_gap``, since the prefix aggregate is
+    its strategies' mixture by construction.  Solutions built by the
     solver pass every prefix; hand-modified ones may not.
     """
     if len(dist) != len(sol.groups):
@@ -337,17 +333,18 @@ def verify_subpop_consistency(
         if abs(budget - g.budget) > EPS:
             raise ValueError("distribution budgets do not match the solution")
     out = []
-    for count in range(1, len(sol.groups) + 1):
-        kept = sol.groups[:count]
-        share = sum(g.mass for g in kept)
-        scaled = tuple(
-            SubPopulation(g.budget, g.mass / share, g.strategy.scaled(1.0 / share))
-            for g in kept
+    mixed = PiecewiseDensity((), ())
+    share = 0.0
+    for count, g in enumerate(sol.groups, start=1):
+        mixed = mixture([(1.0, mixed), (1.0, g.strategy)])
+        share += g.mass
+        agg = mixed.scaled(1.0 / share)
+        checks = tuple(
+            GroupCheck(
+                k.budget, flat_violation=_flat_violation(agg, k.strategy.support)
+            )
+            for k in sol.groups[:count]
         )
-        agg = mixture([(1.0, g.strategy) for g in scaled])
-        prefix_sol = EquilibriumSolution(scaled, agg)
-        report = verify_nash(prefix_sol, tol, with_payoffs=with_payoffs)
-        out.append(
-            PrefixCheck(count=count, threshold=kept[-1].budget, report=report)
-        )
+        report = EquilibriumReport(tol, checks, **_shape_checks(agg))
+        out.append(PrefixCheck(count=count, threshold=g.budget, report=report))
     return out

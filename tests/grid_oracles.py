@@ -1,10 +1,13 @@
-"""Reference cell-by-cell loops behind the common-refinement routine.
+"""Reference implementations kept only as oracles.
 
-Each function below rebuilds its own union grid and reads ``height_at`` at
-every cell midpoint, as the package did before ``density.refine`` took over;
-``height_at`` is the density method as it was then, with its loop over the
-two snap candidates.  They are kept only as oracles: ``tests/test_refine.py``
+Each grid function below rebuilds its own union grid and reads
+``height_at`` at every cell midpoint, as the package did before
+``density.refine`` took over; ``height_at`` is the density method as it was
+then, with its loop over the two snap candidates.  ``tests/test_refine.py``
 checks that the rewritten functions give exactly the same output.
+``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
+before it kept one running mixture; ``tests/test_equilibrium.py`` compares
+the two.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import math
 from typing import Sequence
 
 from poplotto.density import EPS, PiecewiseDensity
+from poplotto.equilibrium import EquilibriumReport, GroupCheck, PrefixCheck
+from poplotto.solver import EquilibriumSolution, SubPopulation
 
 
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
@@ -165,3 +170,43 @@ def support(dens: PiecewiseDensity) -> tuple[float, float] | None:
     if lo > hi:
         return None
     return lo, hi
+
+
+def subpop_consistency(
+    sol: EquilibriumSolution, tol: float
+) -> list[tuple[PrefixCheck, PiecewiseDensity]]:
+    """Every prefix rescaled to unit mass, remixed, and put through the
+    staircase checks of ``verify_nash`` without its payoff sweep; each check
+    comes with the prefix aggregate it read."""
+    out = []
+    for count in range(1, len(sol.groups) + 1):
+        kept = sol.groups[:count]
+        share = sum(g.mass for g in kept)
+        scaled = tuple(
+            SubPopulation(g.budget, g.mass / share, g.strategy.scaled(1.0 / share))
+            for g in kept
+        )
+        agg = mixture([(1.0, g.strategy) for g in scaled])
+        rise = 0.0
+        heights = agg.heights
+        if heights and agg.breakpoints[0] > EPS:
+            rise = heights[0]
+        for prev, nxt in zip(heights, heights[1:]):
+            rise = max(rise, nxt - prev)
+        interior_atom = max((m for loc, m in agg.atoms if loc > EPS), default=0.0)
+        # the remix check compares this mixture with itself, so it reads 0
+        blended = mixture([(1.0, g.strategy) for g in scaled])
+        report = EquilibriumReport(
+            tol=tol,
+            groups=tuple(
+                GroupCheck(
+                    g.budget, flat_violation=flat_violation(agg, g.strategy.support)
+                )
+                for g in scaled
+            ),
+            monotone_violation=max(rise, interior_atom),
+            cdf_at_zero=agg.cdf(0.0).inclusive,
+            mixture_gap=step_gap(blended, agg),
+        )
+        out.append((PrefixCheck(count, kept[-1].budget, report), agg))
+    return out

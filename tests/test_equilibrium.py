@@ -5,22 +5,30 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, reject, settings
 
+import poplotto.equilibrium as equilibrium
+import poplotto.solver as solver
 from poplotto import (
     Dyad,
     EquilibriumReport,
     EquilibriumSolution,
     PiecewiseDensity,
+    SolverError,
     SubPopulation,
     best_dyad,
+    leagues,
     mixture,
     payoff_identity_check,
+    solve,
     verify_linear_bounds,
     verify_nash,
     verify_subpop_consistency,
     worst_deviation,
 )
 from poplotto.structure import league_rewire
+from tests import grid_oracles as oracle
+from tests.conftest import scaled_populations
 
 
 def test_nash_passes_on_solved_fixtures(pair_sol, wide_sol, nine_sol):
@@ -37,8 +45,6 @@ def test_nash_payoffs_match_cumulative_levels(pair_sol, wide_sol):
     report = verify_nash(wide_sol)
     assert report.groups[0].payoff == pytest.approx(0.25, abs=1e-12)
     assert report.groups[1].payoff == pytest.approx(0.75, abs=1e-12)
-    skipped = verify_nash(pair_sol, with_payoffs=False)
-    assert all(check.payoff is None for check in skipped.groups)
 
 
 def test_nash_catches_rising_density():
@@ -191,6 +197,90 @@ def test_subpop_consistency_rejects_mismatches(pair_dist, pair_sol, wide_sol):
     )
     with pytest.raises(ValueError):
         verify_subpop_consistency(pair_dist, shifted)
+
+
+def _assert_prefixes_match_oracle(dist, sol):
+    got = verify_subpop_consistency(dist, sol, 1e-9)
+    want = oracle.subpop_consistency(sol, 1e-9)
+    assert len(got) == len(want)
+    for new, (old, agg) in zip(got, want):
+        assert (new.count, new.threshold) == (old.count, old.threshold)
+        assert new.passed == old.passed
+        slack = 1e-12 * max(agg.heights, default=0.0)
+        a, b = new.report, old.report
+        assert abs(a.monotone_violation - b.monotone_violation) <= slack
+        assert abs(a.cdf_at_zero - b.cdf_at_zero) <= slack
+        assert len(a.groups) == len(b.groups)
+        for x, y in zip(a.groups, b.groups):
+            assert x.budget == y.budget
+            assert abs(x.flat_violation - y.flat_violation) <= slack
+
+
+@given(scaled_populations())
+@settings(deadline=None, max_examples=100)
+def test_subpop_consistency_matches_prefix_oracle(dist):
+    """The running mixture gives the verdicts of rescaling and remixing
+    every prefix, on solved populations and on one rewire of each."""
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    _assert_prefixes_match_oracle(dist, sol)
+    shared = [i for i, lg in enumerate(leagues(sol)) if len(lg.members) >= 2]
+    if shared:
+        try:
+            rewired = league_rewire(sol, shared[0], seed=0, attempts=8)
+        except ValueError:
+            return  # the league declined every exchange
+        _assert_prefixes_match_oracle(dist, rewired)
+
+
+def test_subpop_consistency_mixes_once_per_group(
+    monkeypatch, nine_dist, nine_sol, near_tie_dist, near_tie_sol
+):
+    """One running mixture: at most n ``mixture`` calls on n groups, and no
+    prefix goes through ``verify_nash`` or ``step_gap``."""
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+    calls = []
+
+    def counted(parts):
+        calls.append(len(parts))
+        return mixture(parts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("prefix re-certification compared two mixtures")
+
+    monkeypatch.setattr(equilibrium, "mixture", counted)
+    monkeypatch.setattr(equilibrium, "verify_nash", forbidden)
+    monkeypatch.setattr(equilibrium, "step_gap", forbidden)
+    for dist, sol in ((nine_dist, nine_sol), (near_tie_dist, rewired)):
+        calls.clear()
+        verify_subpop_consistency(dist, sol, 1e-9)
+        assert len(calls) <= len(sol.groups)
+
+
+def test_certificates_never_call_the_solver(
+    monkeypatch, nine_dist, nine_sol, near_tie_dist, near_tie_sol
+):
+    """Every pour goes through ``solver._pour_group``; with it broken, the
+    certificates still judge pre-solved fixtures as before."""
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a group was poured")
+
+    monkeypatch.setattr(solver, "_pour_group", broken)
+    with pytest.raises(AssertionError, match="poured"):
+        solve(nine_dist)
+    for sol in (nine_sol, rewired):
+        assert verify_nash(sol, 1e-9).passed
+        assert verify_linear_bounds(sol, 1e-9).passed
+        assert payoff_identity_check(sol, 1e-9) <= 1e-9
+        assert worst_deviation(sol, 1e-9)[1] <= 1e-9
+    prefixes = verify_subpop_consistency(nine_dist, nine_sol, 1e-9)
+    assert all(check.passed for check in prefixes)
+    prefixes = verify_subpop_consistency(near_tie_dist, rewired, 1e-9)
+    assert [check.passed for check in prefixes] == [True, False, True]
 
 
 def test_report_serializes_to_json(pair_sol):

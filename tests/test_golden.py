@@ -1,9 +1,10 @@
 """Byte-identical CLI documents for the checked-in inputs in ``tests/data``.
 
 ``golden_sha256.json`` pins the sha256 of every ``solve``, ``verify``,
-``analyze``, ``export --format json`` and ``dice`` document.  A change
-that moves any of them changes what users get for a fixed input, so it
-must be deliberate.  Print the current hashes with
+``analyze``, ``export --format json`` and ``dice`` document, and of two
+``rewire --league 0 --seed 0`` documents, which carry prefix verdicts.  A
+change that moves any of them changes what users get for a fixed input, so
+it must be deliberate.  Print the current hashes with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -23,6 +24,7 @@ from poplotto.cli import main
 DATA = Path(__file__).resolve().parent / "data"
 POPULATIONS = ("pair", "wide", "near_tie", "nine_rows", "flooding", "staircase")
 DICE = ("dice",)
+REWIRED = ("near_tie", "nine_rows")
 
 
 def _document(argv: list[str], out: Path) -> str:
@@ -37,7 +39,7 @@ def document_hashes(name: str, workdir: Path) -> dict[str, str]:
     if name in DICE:
         return {f"dice/{name}": _document(["dice", src], workdir / "dice.json")}
     solution = workdir / f"{name}.solution.json"
-    return {
+    hashes = {
         f"solve/{name}": _document(["solve", src], solution),
         f"verify/{name}": _document(["verify", str(solution)], workdir / "v.json"),
         f"analyze/{name}": _document(["analyze", src], workdir / "a.json"),
@@ -45,6 +47,11 @@ def document_hashes(name: str, workdir: Path) -> dict[str, str]:
             ["export", src, "--format", "json"], workdir / "e.json"
         ),
     }
+    if name in REWIRED:
+        hashes[f"rewire/{name}"] = _document(
+            ["rewire", src, "--league", "0", "--seed", "0"], workdir / "r.json"
+        )
+    return hashes
 
 
 @pytest.mark.parametrize("name", POPULATIONS + DICE)
