@@ -19,6 +19,8 @@ content, not exceptions; tolerances are absolute.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -228,15 +230,16 @@ def verify_linear_bounds(
     if sup is not None:
         candidates.add(sup[1])
     candidate_list = sorted(candidates)
+    inclusive = [agg.cdf(x).inclusive for x in candidate_list]
     checks = []
     for g in sol.groups:
         payoff = win_prob(g.strategy.normalized(), agg)
         intercept = _chord_intercept(agg, g.budget, g.strategy.support)
         slope = (payoff - intercept) / g.budget
         bound = 0.0
-        for x in candidate_list:
+        for x, g_x in zip(candidate_list, inclusive):
             line = intercept + slope * x
-            bound = max(bound, agg.cdf(x).inclusive - line)
+            bound = max(bound, g_x - line)
         support_gap = 0.0
         for lo, hi in g.strategy.support_runs():
             pts = {lo, hi, *(x for x in agg.breakpoints if lo < x < hi)}
@@ -256,45 +259,93 @@ def verify_linear_bounds(
     return EquilibriumReport(tol=tol, groups=tuple(checks))
 
 
+# grid points, the cumulative midpoint value at each, and the support end
+_DyadGrid = tuple[list[float], list[float], float]
+
+
+def _dyad_grid(aggregate: PiecewiseDensity) -> _DyadGrid:
+    """Where an optimal dyad may sit, read once per aggregate.
+
+    Returns zero, the breakpoints and the atom locations, sorted, with the
+    cumulative midpoint value at each, and the end of the support.  The
+    grid also holds one point past the support, where the curve reads the
+    total mass; its place depends on the budget, so it is added per search.
+    """
+    xs = sorted({0.0, *aggregate.breakpoints, *(loc for loc, _ in aggregate.atoms)})
+    sup = aggregate.support
+    return xs, [aggregate.cdf(x).midpoint for x in xs], sup[1] if sup else 0.0
+
+
+def _envelope_dyad(
+    budget: float, aggregate: PiecewiseDensity, grid: _DyadGrid
+) -> tuple[Dyad, float]:
+    """``best_dyad`` on a grid already read by ``_dyad_grid``."""
+    budget = positive_finite("budget", budget)
+    xs, gs, end = grid
+    left = bisect.bisect_left(xs, budget - EPS)
+    top = max(end, budget) + 1.0
+    if left == 0 or not top > budget + EPS:
+        raise ValueError(
+            f"no dyad straddles budget {budget!r}: the grid needs a point "
+            f"below budget - EPS and one above budget + EPS"
+        )
+    right = bisect.bisect_right(xs, budget + EPS)
+    outside = itertools.chain(
+        zip(xs[:left], gs[:left]),
+        zip(xs[right:], gs[right:]),
+        ((top, aggregate.total_mass),),
+    )
+    # monotone chain: drop the last vertex while the new point is on or
+    # above the line through the last two, leaving the upper envelope
+    hull: list[tuple[float, float]] = []
+    for x, g in outside:
+        while len(hull) >= 2:
+            (x0, g0), (x1, g1) = hull[-2], hull[-1]
+            if (x1 - x0) * (g - g0) < (g1 - g0) * (x - x0):
+                break
+            hull.pop()
+        hull.append((x, g))
+    # every vertex is below budget - EPS or above budget + EPS, and both
+    # sides are present, so exactly one edge spans the budget
+    k = next(k for k, (x, _) in enumerate(hull) if x > budget)
+    dyad = Dyad(hull[k - 1][0], hull[k][0], budget)
+    return dyad, dyad_payoff(dyad, aggregate) - aggregate.cdf(budget).midpoint
+
+
 def best_dyad(
     budget: float, aggregate: PiecewiseDensity, tol: float = EPS
 ) -> tuple[Dyad, float]:
     """Most profitable two-point deviation for a unit budget holder.
 
-    Scans dyads whose points sit on the aggregate's breakpoints, atom
-    locations, zero, and one past the support; for a piecewise-linear
-    cumulative curve the optimum lies on that grid, so the search is exact.
-    Returns the best dyad and its gain over staying at the budget point.
+    A dyad ``(low, high)`` at the budget earns the chord of the cumulative
+    midpoint curve ``G(x) = aggregate.cdf(x).midpoint`` between ``low``
+    and ``high``, read at the budget.  ``G`` is linear between the grid
+    points (zero, breakpoints, atom locations and one past the support),
+    so the optimum has both points on the grid, and the best chord over
+    the budget is the upper concave envelope of the grid points outside
+    ``(budget - EPS, budget + EPS)``: the dyad is the envelope's edge over
+    the budget.  The envelope is built by monotone chain, linear in the
+    grid size.  Returns the dyad and its gain over staying at the budget
+    point.  Raises ``ValueError`` when no grid point lies below
+    ``budget - EPS``, as for a budget within ``EPS`` of zero, or above
+    ``budget + EPS``, as for a budget so large that adding one is lost to
+    rounding.
     """
-    budget = positive_finite("budget", budget)
-    pts = {0.0, *aggregate.breakpoints, *(loc for loc, _ in aggregate.atoms)}
-    sup = aggregate.support
-    top = max(sup[1] if sup else 0.0, budget) + 1.0
-    pts.add(top)
-    lows = sorted(x for x in pts if x < budget - EPS)
-    highs = sorted(x for x in pts if x > budget + EPS)
-    baseline = aggregate.cdf(budget).midpoint
-    best: Dyad | None = None
-    best_value = -math.inf
-    for lo in lows:
-        for hi in highs:
-            dyad = Dyad(lo, hi, budget)
-            value = dyad_payoff(dyad, aggregate)
-            if value > best_value + 1e-15:
-                best = dyad
-                best_value = value
-    assert best is not None
-    return best, best_value - baseline
+    return _envelope_dyad(budget, aggregate, _dyad_grid(aggregate))
 
 
 def worst_deviation(
     sol: EquilibriumSolution, tol: float = EPS
 ) -> tuple[Dyad | None, float]:
-    """Best dyad gain across all groups; the global deviation certificate."""
+    """Best dyad gain across all groups; the global deviation certificate.
+
+    The aggregate's grid is read once and shared by every group's search.
+    """
+    grid = _dyad_grid(sol.aggregate)
     worst_dyad: Dyad | None = None
     worst_gain = -math.inf
     for g in sol.groups:
-        dyad, gain = best_dyad(g.budget, sol.aggregate, tol)
+        dyad, gain = _envelope_dyad(g.budget, sol.aggregate, grid)
         if gain > worst_gain:
             worst_dyad = dyad
             worst_gain = gain

@@ -6,8 +6,9 @@ Each grid function below rebuilds its own union grid and reads
 then, with its loop over the two snap candidates.  ``tests/test_refine.py``
 checks that the rewritten functions give exactly the same output.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
-before it kept one running mixture; ``tests/test_equilibrium.py`` compares
-the two.
+before it kept one running mixture, and ``best_dyad_scan`` is the pair scan
+``best_dyad`` ran before it read the best dyad off the upper concave
+envelope; ``tests/test_equilibrium.py`` compares each with its rewrite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 
 from poplotto.density import EPS, PiecewiseDensity
 from poplotto.equilibrium import EquilibriumReport, GroupCheck, PrefixCheck
+from poplotto.payoff import Dyad, dyad_payoff
 from poplotto.solver import EquilibriumSolution, SubPopulation
 
 
@@ -210,3 +212,26 @@ def subpop_consistency(
         )
         out.append((PrefixCheck(count, kept[-1].budget, report), agg))
     return out
+
+
+def best_dyad_scan(budget: float, aggregate: PiecewiseDensity) -> tuple[Dyad, float]:
+    """Every (low, high) pair of grid points straddling the budget, tried in
+    turn; O(K^2) payoff evaluations on a grid of K points."""
+    pts = {0.0, *aggregate.breakpoints, *(loc for loc, _ in aggregate.atoms)}
+    sup = aggregate.support
+    top = max(sup[1] if sup else 0.0, budget) + 1.0
+    pts.add(top)
+    lows = sorted(x for x in pts if x < budget - EPS)
+    highs = sorted(x for x in pts if x > budget + EPS)
+    baseline = aggregate.cdf(budget).midpoint
+    best: Dyad | None = None
+    best_value = -math.inf
+    for lo in lows:
+        for hi in highs:
+            dyad = Dyad(lo, hi, budget)
+            value = dyad_payoff(dyad, aggregate)
+            if value > best_value + 1e-15:
+                best = dyad
+                best_value = value
+    assert best is not None, "no grid pair straddles the budget"
+    return best, best_value - baseline

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
+import poplotto
 import poplotto.equilibrium as equilibrium
 import poplotto.solver as solver
 from poplotto import (
+    EPS,
+    DiscreteBudgetDistribution,
     Dyad,
     EquilibriumReport,
     EquilibriumSolution,
@@ -26,6 +35,7 @@ from poplotto import (
     verify_subpop_consistency,
     worst_deviation,
 )
+from poplotto.payoff import dyad_payoff
 from poplotto.structure import league_rewire
 from tests import grid_oracles as oracle
 from tests.conftest import scaled_populations
@@ -155,6 +165,136 @@ def test_best_dyad_rejects_bad_budget():
         best_dyad(0.0, agg)
     with pytest.raises(ValueError):
         best_dyad(float("inf"), agg)
+
+
+def test_best_dyad_rejects_budget_with_no_straddling_grid():
+    """A budget within EPS of zero has no grid point below it to pair with,
+    and one too large for ``budget + 1`` to register has none above."""
+    tiny = PiecewiseDensity.uniform(0.0, 2e-10)
+    with pytest.raises(ValueError, match="no dyad straddles"):
+        best_dyad(1e-10, tiny)
+    with pytest.raises(ValueError, match="no dyad straddles"):
+        best_dyad(1e17, PiecewiseDensity.uniform(0.0, 2.0))
+    sol = EquilibriumSolution((SubPopulation(1e-10, 1.0, tiny),), tiny)
+    with pytest.raises(ValueError, match="no dyad straddles"):
+        worst_deviation(sol)
+
+
+def test_best_dyad_rejects_budget_near_zero_under_optimize():
+    """The rejection is a raised error, not an ``assert`` that ``-O`` strips."""
+    code = (
+        "from poplotto import PiecewiseDensity, best_dyad\n"
+        "try:\n"
+        "    best_dyad(1e-10, PiecewiseDensity.uniform(0.0, 2e-10))\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    package_root = str(Path(poplotto.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rejected\n"
+
+
+@st.composite
+def dyad_searches(draw) -> tuple[float, PiecewiseDensity]:
+    """A unit-mass aggregate with zero-height gaps and atoms at zero or on
+    breakpoints, and a budget on a grid point or 0.3-1.2 EPS from one."""
+    n = draw(st.integers(1, 6))
+    start = draw(st.sampled_from([0.0]) | st.floats(0.0, 3.0))
+    widths = draw(st.lists(st.floats(1e-3, 5.0), min_size=n, max_size=n))
+    breakpoints = list(itertools.accumulate(widths, initial=start))
+    heights = draw(
+        st.lists(st.sampled_from([0.0]) | st.floats(0.0, 2.0), min_size=n, max_size=n)
+    )
+    locs = draw(
+        st.lists(
+            st.sampled_from([0.0, *breakpoints]) | st.floats(0.0, breakpoints[-1] + 1.0),
+            max_size=3,
+        )
+    )
+    masses = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(locs), max_size=len(locs)))
+    raw = PiecewiseDensity(breakpoints, heights, tuple(zip(locs, masses)))
+    assume(raw.total_mass > 1e-6)
+    agg = raw.normalized()
+    grid = [0.0, *agg.breakpoints, *(loc for loc, _ in agg.atoms)]
+    anchor = draw(st.sampled_from(grid) | st.floats(0.0, max(grid) + 2.0))
+    near = st.floats(0.3 * EPS, 1.2 * EPS)
+    offset = draw(st.sampled_from([0.0]) | near | near.map(lambda d: -d))
+    budget = anchor + offset
+    assume(budget > 0.0)
+    return budget, agg
+
+
+def _assert_dyad_matches_scan(budget: float, agg: PiecewiseDensity) -> float:
+    """``best_dyad`` earns what the pair scan finds, with a straddling dyad
+    whose payoff is the reported gain; returns the gain."""
+    dyad, gain = best_dyad(budget, agg)
+    _, want = oracle.best_dyad_scan(budget, agg)
+    assert abs(gain - want) <= 1e-12
+    assert dyad.low < budget - EPS
+    assert dyad.high > budget + EPS
+    assert dyad_payoff(dyad, agg) - agg.cdf(budget).midpoint == gain
+    return gain
+
+
+@given(dyad_searches())
+@settings(deadline=None, max_examples=300)
+def test_best_dyad_matches_pair_scan(case):
+    budget, agg = case
+    if not 0.0 < budget - EPS:
+        # zero is the lowest grid point, so nothing lies below budget - EPS
+        with pytest.raises(ValueError, match="no dyad straddles"):
+            best_dyad(budget, agg)
+        return
+    _assert_dyad_matches_scan(budget, agg)
+
+
+@given(scaled_populations())
+@settings(deadline=None, max_examples=60)
+def test_best_dyad_matches_pair_scan_on_solutions(dist):
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    gains = [_assert_dyad_matches_scan(g.budget, sol.aggregate) for g in sol.groups]
+    assert worst_deviation(sol)[1] == max(gains)
+
+
+def test_worst_deviation_reads_the_aggregate_once(monkeypatch):
+    """Linear in groups plus grid points on the staircase input, where the
+    pair scan made O(n K^2) payoff evaluations."""
+    data = json.loads((Path(__file__).parent / "data" / "staircase.json").read_text())
+    sol = solve(DiscreteBudgetDistribution.from_dict(data))
+    agg = sol.aggregate
+    # zero, the breakpoints, the atoms and one point past the support
+    grid = 2 + len(agg.breakpoints) + len(agg.atoms)
+    payoffs = []
+    reads = []
+    cdf = PiecewiseDensity.cdf
+
+    def counted_payoff(dyad, aggregate):
+        payoffs.append(dyad)
+        return dyad_payoff(dyad, aggregate)
+
+    def counted_cdf(self, x):
+        reads.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(equilibrium, "dyad_payoff", counted_payoff)
+    monkeypatch.setattr(PiecewiseDensity, "cdf", counted_cdf)
+    dyad, gain = worst_deviation(sol)
+    n = len(sol.groups)
+    assert (n, len(agg.breakpoints)) == (100, 79)
+    assert len(payoffs) <= n
+    assert len(reads) <= 4 * (n + grid)
+    assert dyad is not None and gain <= 1e-12
 
 
 def test_worst_deviation_certifies_fixture(pair_sol):
