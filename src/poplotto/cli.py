@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +59,8 @@ class RunConfig:
     league: int
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.fmt not in FORMATS[self.command]:
             allowed = ", ".join(FORMATS[self.command])
             raise ValueError(

@@ -19,9 +19,12 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+# numpy loads inside ``sample``, the one method that builds arrays, so
+# importing the package does not pull it in
+if TYPE_CHECKING:
+    import numpy as np
 
 # Absolute tolerance shared by every geometric comparison in the package.
 EPS = 1e-9
@@ -279,6 +282,8 @@ class PiecewiseDensity:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` values by inverse transform sampling."""
+        import numpy as np
+
         mass = self.total_mass
         if mass <= EPS:
             raise ValueError("cannot sample from a zero-mass density")

@@ -329,7 +329,8 @@ def best_dyad(
     point.  Raises ``ValueError`` when no grid point lies below
     ``budget - EPS``, as for a budget within ``EPS`` of zero, or above
     ``budget + EPS``, as for a budget so large that adding one is lost to
-    rounding.
+    rounding.  ``tol`` is accepted for call compatibility and is not read:
+    the gain comes back raw, and the caller compares it.
     """
     return _envelope_dyad(budget, aggregate, _dyad_grid(aggregate))
 
@@ -340,6 +341,8 @@ def worst_deviation(
     """Best dyad gain across all groups; the global deviation certificate.
 
     The aggregate's grid is read once and shared by every group's search.
+    ``tol`` is accepted for call compatibility and is not read: the gain
+    comes back raw, and the caller compares it.
     """
     grid = _dyad_grid(sol.aggregate)
     worst_dyad: Dyad | None = None

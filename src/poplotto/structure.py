@@ -16,9 +16,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .density import EPS, PiecewiseDensity, mixture, refine
 from .payoff import win_prob
@@ -29,6 +27,11 @@ from .solver import (
     TerraceProfile,
     iter_pours,
 )
+
+# numpy loads inside the functions that build or read arrays, so the
+# array-free commands (solve, verify, csv export) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,8 @@ class OutcomeMatrix:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError("outcome matrix must be square")
@@ -222,6 +227,8 @@ def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
     Only the upper triangle is computed; the lower follows from the
     zero-sum complement, which keeps the matrix exactly consistent.
     """
+    import numpy as np
+
     n = len(sol.groups)
     probs = np.full((n, n), 0.5)
     norms = [g.strategy.normalized() for g in sol.groups]
@@ -299,6 +306,8 @@ def transitivity_report(
     hypothesis, and reading each mask in row-major order lists the triples
     in ``itertools.permutations`` order.
     """
+    import numpy as np
+
     W = matrix.probs
     sure = 1.0 - tol
     cols = np.arange(matrix.n)
@@ -506,6 +515,8 @@ def league_rewire(
     than two members, no overlapping supports, or no exchange that moves
     any outcome.  Deterministic for a given seed.
     """
+    import numpy as np
+
     partition = leagues(sol, tol)
     if not 0 <= league_index < len(partition.leagues):
         raise ValueError(f"no league {league_index}")

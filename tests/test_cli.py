@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 import poplotto
 from poplotto import SolverError
 from poplotto.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 PAIR = {
     "subpopulations": [
@@ -30,17 +33,22 @@ NEAR_TIE = {
 }
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``python -m poplotto.cli args`` in a subprocess that imports this package."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a subprocess that imports this package."""
     package_root = str(Path(poplotto.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "poplotto.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m poplotto.cli args`` in a subprocess that imports this package."""
+    return run_python("-m", "poplotto.cli", *args)
 
 
 def write_json(tmp_path, name, obj):
@@ -246,6 +254,17 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         assert main(["verify", str(path)]) == 1, name
     for dice in ([[1.5, 2], [3, 4]], [1, 2], 5, [[1, None]], [[1, "2"]]):
         assert main(["dice", write_json(tmp_path, "dice.json", {"dice": dice})]) == 1
+    # strategies 0 and 8 of nine_rows swapped: linear bounds fail at the
+    # default tolerance, and a non-finite one must not wave them through
+    assert main(["solve", str(DATA / "nine_rows.json"), "--out", str(solution)]) == 0
+    doc = json.loads(solution.read_text())
+    strategies = doc["strategies"]
+    strategies[0], strategies[8] = strategies[8], strategies[0]
+    swapped = write_json(tmp_path, "swapped.json", doc)
+    assert main(["verify", swapped, "--tol", "1e-9"]) == 2
+    for tol in ("inf", "1e400", "nan", "-inf"):
+        assert main(["verify", swapped, f"--tol={tol}"]) == 1, tol
+        assert "finite and positive" in capsys.readouterr().err
     capsys.readouterr()
     proc = run_cli("verify", str(tmp_path / "no_budget.json"))
     assert proc.returncode == 1
@@ -303,3 +322,46 @@ def test_verify_sliver_past_the_aggregate_fails_cleanly(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["nash"]["mixture_gap"] > 1e-9
+
+
+# Runs each command in one fresh interpreter and prints, per step, the exit
+# status and whether numpy has been imported by then.
+NUMPY_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import poplotto
+    import poplotto.cli
+
+    src, out = sys.argv[1:]
+    steps = {"import": (0, "numpy" in sys.modules)}
+    for name, argv in (
+        ("solve", ["solve", src, "--out", out]),
+        ("solve csv", ["solve", src, "--format", "csv"]),
+        ("verify", ["verify", out]),
+        ("export csv", ["export", src, "--format", "csv"]),
+        ("analyze", ["analyze", src]),
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                status = poplotto.cli.main(argv)
+        steps[name] = (status, "numpy" in sys.modules)
+    print(json.dumps(steps))
+    """
+)
+
+
+def test_array_free_commands_never_import_numpy(tmp_path):
+    """solve, verify and csv export start without numpy; analyze loads it."""
+    proc = run_python(
+        "-c", NUMPY_PROBE, str(DATA / "flooding.json"), str(tmp_path / "s.json")
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = {name: tuple(v) for name, v in json.loads(proc.stdout).items()}
+    assert steps == {
+        "import": (0, False),
+        "solve": (0, False),
+        "solve csv": (0, False),
+        "verify": (0, False),
+        "export csv": (0, False),
+        "analyze": (0, True),
+    }

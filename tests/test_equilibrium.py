@@ -303,6 +303,15 @@ def test_worst_deviation_certifies_fixture(pair_sol):
     assert abs(gain) <= 1e-12
 
 
+def test_dyad_search_ignores_tol(nine_sol):
+    """``tol`` is not read: the gain comes back raw for the caller to judge."""
+    assert worst_deviation(nine_sol, 1e-300) == worst_deviation(nine_sol, 1.0)
+    for g in nine_sol.groups:
+        assert best_dyad(g.budget, nine_sol.aggregate, 1e-300) == best_dyad(
+            g.budget, nine_sol.aggregate, 1.0
+        )
+
+
 def test_payoff_identity_on_fixtures(pair_sol, wide_sol, nine_sol):
     for sol in (pair_sol, wide_sol, nine_sol):
         assert payoff_identity_check(sol) <= 1e-12

@@ -1,8 +1,10 @@
 """Byte-identical CLI documents for the checked-in inputs in ``tests/data``.
 
 ``golden_sha256.json`` pins the sha256 of every ``solve``, ``verify``,
-``analyze``, ``export --format json`` and ``dice`` document, and of two
-``rewire --league 0 --seed 0`` documents, which carry prefix verdicts.  A
+``analyze``, ``export`` (json, csv and dot) and ``dice`` document, of every
+``solve --format csv`` document, of two ``rewire --league 0 --seed 0``
+documents, which carry prefix verdicts, and of one ``rewire --format csv``
+document.  The csv and dot keys carry the format after the command.  A
 change that moves any of them changes what users get for a fixed input, so
 it must be deliberate.  Print the current hashes with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -25,6 +27,7 @@ DATA = Path(__file__).resolve().parent / "data"
 POPULATIONS = ("pair", "wide", "near_tie", "nine_rows", "flooding", "staircase")
 DICE = ("dice",)
 REWIRED = ("near_tie", "nine_rows")
+REWIRED_CSV = ("near_tie",)
 
 
 def _document(argv: list[str], out: Path) -> str:
@@ -46,10 +49,22 @@ def document_hashes(name: str, workdir: Path) -> dict[str, str]:
         f"export/{name}": _document(
             ["export", src, "--format", "json"], workdir / "e.json"
         ),
+        f"solve-csv/{name}": _document(
+            ["solve", src, "--format", "csv"], workdir / "s.csv"
+        ),
+        f"export-csv/{name}": _document(
+            ["export", src, "--format", "csv"], workdir / "e.csv"
+        ),
+        f"export-dot/{name}": _document(
+            ["export", src, "--format", "dot"], workdir / "e.dot"
+        ),
     }
+    rewire = ["rewire", src, "--league", "0", "--seed", "0"]
     if name in REWIRED:
-        hashes[f"rewire/{name}"] = _document(
-            ["rewire", src, "--league", "0", "--seed", "0"], workdir / "r.json"
+        hashes[f"rewire/{name}"] = _document(rewire, workdir / "r.json")
+    if name in REWIRED_CSV:
+        hashes[f"rewire-csv/{name}"] = _document(
+            [*rewire, "--format", "csv"], workdir / "r.csv"
         )
     return hashes
 
