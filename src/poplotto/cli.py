@@ -23,6 +23,7 @@ from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consis
 from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError, solve
 from .structure import (
     LeaguePartition,
+    _replayed,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -148,7 +149,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[str, list[str], int]:
         "reports": {
             "nash": verify_nash(sol, config.tol).to_dict(),
             "linear_bounds": verify_linear_bounds(sol, config.tol).to_dict(),
-            "leagues": leagues(sol, config.tol).to_dict(),
+            "leagues": subs.full.to_dict(),
             "outcome_matrix": matrix.to_dict(),
             "transitivity": transitivity.to_dict(),
             "sub_leagues": subs.to_dict(),
@@ -203,18 +204,16 @@ def _cmd_dice(config: RunConfig) -> tuple[str, list[str], int]:
 
 
 def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
+    import numpy as np
+
     dist = _load_distribution(config.input)
     sol = solve(dist)
     rewired = league_rewire(sol, config.league, seed=config.seed, tol=config.tol)
     nash = verify_nash(rewired, config.tol)
     before = outcome_matrix(sol).probs
-    after = outcome_matrix(rewired).probs
-    flips = [
-        [i, j]
-        for i in range(len(before))
-        for j in range(len(before))
-        if i != j and (before[i, j] - 0.5) * (after[i, j] - 0.5) < 0.0
-    ]
+    after = _replayed(before, sol, rewired)
+    # row-major like the matrix; the diagonal reads 0.5, so it never flips
+    flips = np.argwhere((before - 0.5) * (after - 0.5) < 0.0).tolist()
     if config.fmt == "csv":
         machine = step_samples_csv(rewired)
     else:

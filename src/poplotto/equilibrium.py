@@ -360,7 +360,8 @@ def worst_deviation(
 def payoff_identity_check(sol: EquilibriumSolution, tol: float = EPS) -> float:
     """Max gap between each group's payoff and the aggregate cumulative value
     at its budget.  At equilibrium the two coincide, which pins every
-    pairwise outcome without computing it."""
+    pairwise outcome without computing it.  ``tol`` is accepted for call
+    compatibility and is not read: the gap comes back raw for the caller."""
     worst = 0.0
     for g in sol.groups:
         payoff = win_prob(g.strategy.normalized(), sol.aggregate)

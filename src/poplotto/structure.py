@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .density import EPS, PiecewiseDensity, mixture, refine
 from .payoff import win_prob
@@ -222,22 +222,38 @@ class OutcomeMatrix:
 
 
 def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
-    """Compute every pairwise contest.
-
-    Only the upper triangle is computed; the lower follows from the
-    zero-sum complement, which keeps the matrix exactly consistent.
-    """
+    """Compute every pairwise contest."""
     import numpy as np
 
     n = len(sol.groups)
     probs = np.full((n, n), 0.5)
-    norms = [g.strategy.normalized() for g in sol.groups]
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = win_prob(norms[i], norms[j])
-            probs[i, j] = p
-            probs[j, i] = 1.0 - p
+    _contests(probs, sol, combinations(range(n), 2))
     return OutcomeMatrix(probs)
+
+
+def _contests(probs: np.ndarray, sol: EquilibriumSolution, pairs: Iterable) -> None:
+    """Play each pair ``i < j`` into ``probs[i, j]``.
+
+    The lower triangle takes the zero-sum complement, which keeps the
+    matrix exactly consistent.
+    """
+    norms = [g.strategy.normalized() for g in sol.groups]
+    for i, j in pairs:
+        p = win_prob(norms[i], norms[j])
+        probs[i, j] = p
+        probs[j, i] = 1.0 - p
+
+
+def _replayed(
+    probs: np.ndarray, sol: EquilibriumSolution, changed: EquilibriumSolution
+) -> np.ndarray:
+    """``outcome_matrix(changed).probs`` from ``probs`` of ``sol``, playing only
+    the contests of groups whose ``SubPopulation`` is not ``sol``'s."""
+    moved = {k for k, g in enumerate(changed.groups) if g is not sol.groups[k]}
+    pairs = combinations(range(len(probs)), 2)
+    after = probs.copy()
+    _contests(after, changed, [(i, j) for i, j in pairs if i in moved or j in moved])
+    return after
 
 
 @dataclass(frozen=True)
@@ -460,7 +476,6 @@ def _slice_swap(
     center: float,
     spacing: float,
     width: float,
-    strength: float,
 ) -> EquilibriumSolution | None:
     """Exchange three equally spaced slices between two strategies.
 
@@ -480,21 +495,17 @@ def _slice_swap(
         _min_height(f_give, *cells[0]), _min_height(f_give, *cells[2])
     )
     headroom_mid = 0.5 * _min_height(f_take, *cells[1])
-    s = strength * min(headroom_outer, headroom_mid)
+    s = min(headroom_outer, headroom_mid)
     if s <= 100.0 * EPS:
         return None
     give_delta = [-s, 2.0 * s, -s]
     take_delta = [s, -2.0 * s, s]
     new_groups = list(sol.groups)
-    new_groups[giver] = SubPopulation(
-        sol.groups[giver].budget,
-        sol.groups[giver].mass,
-        _patched(f_give, cells, give_delta),
+    new_groups[giver] = replace(
+        sol.groups[giver], strategy=_patched(f_give, cells, give_delta)
     )
-    new_groups[taker] = SubPopulation(
-        sol.groups[taker].budget,
-        sol.groups[taker].mass,
-        _patched(f_take, cells, take_delta),
+    new_groups[taker] = replace(
+        sol.groups[taker], strategy=_patched(f_take, cells, take_delta)
     )
     return EquilibriumSolution(tuple(new_groups), sol.aggregate)
 
@@ -540,28 +551,36 @@ def league_rewire(
     rng = np.random.default_rng(seed)
     before = outcome_matrix(sol).probs
 
-    fallback: EquilibriumSolution | None = None
+    def judge(candidate: EquilibriumSolution) -> tuple[bool, bool]:
+        """Whether ``candidate`` flips an edge, and whether it shifts any outcome."""
+        after = _replayed(before, sol, candidate)
+        flips = ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
+        return bool(np.any(flips)), bool(np.max(np.abs(after - before)) > tol)
 
-    # Equal-budget members can trade entire strategies: the aggregate is a
-    # mixture of the same densities, so it is literally unchanged, and a
-    # cycle through the pair reverses.
-    for a, b, _, _ in pairs:
-        if abs(sol.groups[a].budget - sol.groups[b].budget) > tol:
-            continue
-        swapped = list(sol.groups)
-        swapped[a] = SubPopulation(
-            sol.groups[a].budget, sol.groups[a].mass, sol.groups[b].strategy
-        )
-        swapped[b] = SubPopulation(
-            sol.groups[b].budget, sol.groups[b].mass, sol.groups[a].strategy
-        )
-        candidate = EquilibriumSolution(tuple(swapped), sol.aggregate)
-        after = outcome_matrix(candidate).probs
-        if np.any(
-            ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
-        ):
+    def trades():
+        # Equal-budget members can trade entire strategies: the aggregate
+        # is a mixture of the same densities, so it is literally unchanged,
+        # and a cycle through the pair reverses.
+        for a, b, _, _ in pairs:
+            if abs(sol.groups[a].budget - sol.groups[b].budget) > tol:
+                continue
+            swapped = list(sol.groups)
+            swapped[a] = replace(sol.groups[a], strategy=sol.groups[b].strategy)
+            swapped[b] = replace(sol.groups[b], strategy=sol.groups[a].strategy)
+            yield EquilibriumSolution(tuple(swapped), sol.aggregate)
+        for trial in range(2 * len(pairs)):
+            # deterministic warm start: equal thirds of each hull overlap
+            a, b, lo, hi = pairs[trial % len(pairs)]
+            third = (hi - lo) / 3.0
+            giver, taker = (a, b) if trial < len(pairs) else (b, a)
+            yield _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
+
+    fallback: EquilibriumSolution | None = None
+    for candidate in filter(None, trades()):
+        flips, shifts = judge(candidate)
+        if flips:
             return candidate
-        if fallback is None and np.max(np.abs(after - before)) > tol:
+        if fallback is None and shifts:
             fallback = candidate
 
     def random_slices(
@@ -569,16 +588,14 @@ def league_rewire(
     ) -> EquilibriumSolution | None:
         # the middle slice sits in a taker run, an outer one in a giver
         # run, so gapped supports (dice) stay reachable
-        take_runs = [
-            r
-            for r in current.groups[taker].strategy.support_runs()
-            if r[1] - r[0] > 100.0 * EPS
-        ]
-        give_runs = [
-            r
-            for r in current.groups[giver].strategy.support_runs()
-            if r[1] - r[0] > 100.0 * EPS
-        ]
+        take_runs, give_runs = (
+            [
+                r
+                for r in current.groups[k].strategy.support_runs()
+                if r[1] - r[0] > 100.0 * EPS
+            ]
+            for k in (taker, giver)
+        )
         if not take_runs or not give_runs:
             return None
         t_lo, t_hi = take_runs[int(rng.integers(len(take_runs)))]
@@ -596,23 +613,7 @@ def league_rewire(
         if spacing <= 100.0 * EPS or width_cap <= 100.0 * EPS:
             return None
         width = width_cap * (0.4 + 0.6 * rng.random())
-        return _slice_swap(current, giver, taker, center, spacing, width, 1.0)
-
-    for trial in range(2 * len(pairs)):
-        # deterministic warm start: equal thirds of each hull overlap
-        a, b, lo, hi = pairs[trial % len(pairs)]
-        third = (hi - lo) / 3.0
-        giver, taker = (a, b) if trial < len(pairs) else (b, a)
-        candidate = _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third, 1.0)
-        if candidate is None:
-            continue
-        after = outcome_matrix(candidate).probs
-        if np.any(
-            ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
-        ):
-            return candidate
-        if fallback is None and np.max(np.abs(after - before)) > tol:
-            fallback = candidate
+        return _slice_swap(current, giver, taker, center, spacing, width)
 
     # Greedy composition: single exchanges are bounded by slice headroom,
     # so chain several, each chosen to push the tightest pair across the
@@ -652,7 +653,7 @@ def league_rewire(
         value, current = best
         if (value - 0.5) * (before[ti, tj] - 0.5) < 0.0 and abs(value - 0.5) > tol:
             return current
-    if current is not sol and np.max(np.abs(outcome_matrix(current).probs - before)) > tol:
+    if current is not sol and judge(current)[1]:
         return current
     if fallback is not None:
         return fallback

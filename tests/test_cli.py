@@ -135,6 +135,13 @@ def test_rewire_reports_flips_and_broken_prefix(tmp_path, capsys):
     assert "edge(s) flipped" in captured.err
 
 
+def test_rewire_refuses_a_league_no_exchange_moves():
+    proc = run_cli("rewire", str(DATA / "flooding.json"), "--league", "5")
+    assert proc.returncode == 1
+    assert "no slice exchange changed the outcome matrix" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_rewired_solution_passes_verify(tmp_path, capsys):
     src = write_json(tmp_path, "near_tie.json", NEAR_TIE)
     out = tmp_path / "rewired.json"

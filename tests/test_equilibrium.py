@@ -306,6 +306,9 @@ def test_worst_deviation_certifies_fixture(pair_sol):
 def test_dyad_search_ignores_tol(nine_sol):
     """``tol`` is not read: the gain comes back raw for the caller to judge."""
     assert worst_deviation(nine_sol, 1e-300) == worst_deviation(nine_sol, 1.0)
+    assert payoff_identity_check(nine_sol, 1e-300) == payoff_identity_check(
+        nine_sol, 1.0
+    )
     for g in nine_sol.groups:
         assert best_dyad(g.budget, nine_sol.aggregate, 1e-300) == best_dyad(
             g.budget, nine_sol.aggregate, 1.0

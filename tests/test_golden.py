@@ -2,11 +2,14 @@
 
 ``golden_sha256.json`` pins the sha256 of every ``solve``, ``verify``,
 ``analyze``, ``export`` (json, csv and dot) and ``dice`` document, of every
-``solve --format csv`` document, of two ``rewire --league 0 --seed 0``
-documents, which carry prefix verdicts, and of one ``rewire --format csv``
-document.  The csv and dot keys carry the format after the command.  A
-change that moves any of them changes what users get for a fixed input, so
-it must be deliberate.  Print the current hashes with
+``solve --format csv`` document, of four ``rewire --seed 0`` documents,
+which carry prefix verdicts, and of one ``rewire --format csv`` document.
+The csv and dot keys carry the format after the command, and the rewire
+keys of a league other than 0 carry ``league-k``.  The four rewires end in
+each way the search can return: a greedy flip (near_tie league 0), the
+fallback (nine_rows league 0), a warm-start flip (flooding league 4) and a
+greedy move (flooding league 6).  A change that moves any of them changes
+what users get for a fixed input, so it must be deliberate.  Print the current hashes with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -26,7 +29,7 @@ from poplotto.cli import main
 DATA = Path(__file__).resolve().parent / "data"
 POPULATIONS = ("pair", "wide", "near_tie", "nine_rows", "flooding", "staircase")
 DICE = ("dice",)
-REWIRED = ("near_tie", "nine_rows")
+REWIRED = {"near_tie": (0,), "nine_rows": (0,), "flooding": (4, 6)}
 REWIRED_CSV = ("near_tie",)
 
 
@@ -59,12 +62,14 @@ def document_hashes(name: str, workdir: Path) -> dict[str, str]:
             ["export", src, "--format", "dot"], workdir / "e.dot"
         ),
     }
-    rewire = ["rewire", src, "--league", "0", "--seed", "0"]
-    if name in REWIRED:
-        hashes[f"rewire/{name}"] = _document(rewire, workdir / "r.json")
+    for league in REWIRED.get(name, ()):
+        rewire = ["rewire", src, "--league", str(league), "--seed", "0"]
+        command = "rewire" if league == 0 else f"rewire-league-{league}"
+        hashes[f"{command}/{name}"] = _document(rewire, workdir / "r.json")
     if name in REWIRED_CSV:
         hashes[f"rewire-csv/{name}"] = _document(
-            [*rewire, "--format", "csv"], workdir / "r.csv"
+            ["rewire", src, "--league", "0", "--seed", "0", "--format", "csv"],
+            workdir / "r.csv",
         )
     return hashes
 

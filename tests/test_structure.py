@@ -5,22 +5,26 @@ from __future__ import annotations
 import csv
 import json
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from poplotto import (
     DiscreteBudgetDistribution,
     EquilibriumSolution,
     PiecewiseDensity,
+    SolverError,
     SubPopulation,
     mixture,
     solve,
     step_gap,
     verify_nash,
 )
+from poplotto import cli, structure
+from poplotto.density import EPS
 from poplotto.structure import (
     League,
     LeaguePartition,
@@ -28,6 +32,8 @@ from poplotto.structure import (
     SubLeague,
     SubLeagueReport,
     TransitivityReport,
+    _replayed,
+    _slice_swap,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -416,6 +422,50 @@ def test_rewire_falls_back_to_any_change():
     after = outcome_matrix(rewired).probs
     assert np.max(np.abs(after - before)) > 1e-3
     assert verify_nash(rewired, tol=1e-9).passed
+
+
+@given(scaled_populations(max_groups=12), st.data())
+@settings(deadline=None, max_examples=60)
+def test_replayed_contests_match_the_full_matrix(dist, data):
+    """A warm-start slice swap changes two strategies; replaying their
+    contests on a copy of the solved matrix gives the candidate's own
+    matrix, to the bit."""
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    shared = [lg.members for lg in leagues(sol) if len(lg.members) >= 2]
+    if not shared:
+        return
+    giver, taker = data.draw(st.permutations(data.draw(st.sampled_from(shared))))[:2]
+    hull_g = sol.groups[giver].strategy.support
+    hull_t = sol.groups[taker].strategy.support
+    lo, hi = max(hull_g[0], hull_t[0]), min(hull_g[1], hull_t[1])
+    if hi - lo <= 100.0 * EPS:
+        return
+    third = (hi - lo) / 3.0
+    candidate = _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
+    if candidate is None:
+        return
+    replayed = _replayed(outcome_matrix(sol).probs, sol, candidate)
+    assert np.array_equal(replayed, outcome_matrix(candidate).probs)
+
+
+def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
+    """One full matrix inside ``league_rewire`` and one for the document;
+    every candidate and the rewired document replay two groups' contests."""
+    calls = []
+
+    def counted(sol):
+        calls.append(sol)
+        return outcome_matrix(sol)
+
+    monkeypatch.setattr(structure, "outcome_matrix", counted)
+    monkeypatch.setattr(cli, "outcome_matrix", counted)
+    src = str(Path(__file__).parent / "data" / "nine_rows.json")
+    assert cli.main(["rewire", src, "--league", "0", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 2
 
 
 def test_rewire_rejects_unusable_leagues(wide_sol):
