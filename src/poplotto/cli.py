@@ -4,7 +4,8 @@ Every command reads JSON, writes one machine-readable document, and prints
 a short human summary.  The machine document goes to ``--out`` when given,
 otherwise to standard output; the summary then moves to standard error so
 pipes stay clean.  Outputs are deterministic for a fixed input and seed,
-byte for byte.
+byte for byte.  Each subcommand declares only the options its handler
+reads, so an option a command would ignore is a usage error.
 
 Exit codes: 0 success, 1 invalid input or arguments, 2 verification
 failed, 3 solver failure.
@@ -16,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consistency
@@ -24,6 +24,7 @@ from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError
 from .structure import (
     LeaguePartition,
     _replayed,
+    _unit_strategies,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -37,36 +38,18 @@ from .structure import (
 
 MASS_SLACK = 1e-6
 
-FORMATS = {
-    "solve": ("json", "csv"),
-    "verify": ("json",),
-    "analyze": ("json",),
-    "dice": ("json",),
-    "rewire": ("json", "csv"),
-    "export": ("json", "csv", "dot"),
-}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation."""
-
-    command: str
-    input: str | None
-    output: str | None
-    tol: float
-    fmt: str
-    seed: int
-    league: int
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
-        if self.fmt not in FORMATS[self.command]:
-            allowed = ", ".join(FORMATS[self.command])
-            raise ValueError(
-                f"format {self.fmt!r} not supported by {self.command} (use {allowed})"
-            )
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite, positive float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}"
+        )
+    return tol
 
 
 def _read_json(path: str) -> dict:
@@ -104,17 +87,17 @@ def _league_lines(partition: LeaguePartition, budgets: tuple[float, ...]) -> lis
     return lines
 
 
-def _cmd_solve(config: RunConfig) -> tuple[str, list[str], int]:
-    dist = _load_distribution(config.input)
+def _cmd_solve(args: argparse.Namespace) -> tuple[str, list[str], int]:
+    dist = _load_distribution(args.input)
     sol = solve(dist)
-    nash = verify_nash(sol, config.tol)
-    part = leagues(sol, config.tol)
-    if config.fmt == "csv":
+    nash = verify_nash(sol, args.tol)
+    part = leagues(sol, args.tol)
+    if args.format == "csv":
         machine = step_samples_csv(sol)
     else:
         reports = {
             "nash": nash.to_dict(),
-            "linear_bounds": verify_linear_bounds(sol, config.tol).to_dict(),
+            "linear_bounds": verify_linear_bounds(sol, args.tol).to_dict(),
             "leagues": part.to_dict(),
         }
         machine = json.dumps({**sol.to_dict(), "reports": reports}, indent=2) + "\n"
@@ -123,10 +106,10 @@ def _cmd_solve(config: RunConfig) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_verify(config: RunConfig) -> tuple[str, list[str], int]:
-    sol = EquilibriumSolution.from_dict(_read_json(config.input))
-    nash = verify_nash(sol, config.tol)
-    linear = verify_linear_bounds(sol, config.tol)
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
+    sol = EquilibriumSolution.from_dict(_read_json(args.input))
+    nash = verify_nash(sol, args.tol)
+    linear = verify_linear_bounds(sol, args.tol)
     payload = {"nash": nash.to_dict(), "linear_bounds": linear.to_dict()}
     machine = json.dumps(payload, indent=2) + "\n"
     ok = nash.passed and linear.passed
@@ -138,17 +121,17 @@ def _cmd_verify(config: RunConfig) -> tuple[str, list[str], int]:
     return machine, summary, 0 if ok else 2
 
 
-def _cmd_analyze(config: RunConfig) -> tuple[str, list[str], int]:
-    dist = _load_distribution(config.input)
+def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
+    dist = _load_distribution(args.input)
     sol = solve(dist)
     matrix = outcome_matrix(sol)
-    transitivity = transitivity_report(matrix, config.tol)
-    subs = sub_leagues(dist, config.tol)
+    transitivity = transitivity_report(matrix, args.tol)
+    subs = sub_leagues(dist, args.tol)
     payload = {
         **sol.to_dict(),
         "reports": {
-            "nash": verify_nash(sol, config.tol).to_dict(),
-            "linear_bounds": verify_linear_bounds(sol, config.tol).to_dict(),
+            "nash": verify_nash(sol, args.tol).to_dict(),
+            "linear_bounds": verify_linear_bounds(sol, args.tol).to_dict(),
             "leagues": subs.full.to_dict(),
             "outcome_matrix": matrix.to_dict(),
             "transitivity": transitivity.to_dict(),
@@ -170,25 +153,25 @@ def _cmd_analyze(config: RunConfig) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_dice(config: RunConfig) -> tuple[str, list[str], int]:
-    if config.input is None:
+def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
+    if args.input is None:
         dice = search_dice_triple()
     else:
-        data = _read_json(config.input)
+        data = _read_json(args.input)
         if "dice" not in data:
             raise ValueError("dice input needs a top-level 'dice' list")
         dice = data["dice"]
     pop = dice_to_population(dice)
     faces = [[int(v) for v in die] for die in dice]
     matrix = outcome_matrix(pop)
-    transitivity = transitivity_report(matrix, config.tol)
-    nash = verify_nash(pop, config.tol)
+    transitivity = transitivity_report(matrix, args.tol)
+    nash = verify_nash(pop, args.tol)
     payload = {
         "dice": faces,
         **pop.to_dict(),
         "reports": {
             "nash": nash.to_dict(),
-            "leagues": leagues(pop, config.tol).to_dict(),
+            "leagues": leagues(pop, args.tol).to_dict(),
             "outcome_matrix": matrix.to_dict(),
             "transitivity": transitivity.to_dict(),
         },
@@ -203,18 +186,18 @@ def _cmd_dice(config: RunConfig) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
+def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
     import numpy as np
 
-    dist = _load_distribution(config.input)
+    dist = _load_distribution(args.input)
     sol = solve(dist)
-    rewired = league_rewire(sol, config.league, seed=config.seed, tol=config.tol)
-    nash = verify_nash(rewired, config.tol)
+    rewired = league_rewire(sol, args.league, seed=args.seed, tol=args.tol)
+    nash = verify_nash(rewired, args.tol)
     before = outcome_matrix(sol).probs
-    after = _replayed(before, sol, rewired)
+    after = _replayed(before, _unit_strategies(sol), sol, rewired)
     # row-major like the matrix; the diagonal reads 0.5, so it never flips
     flips = np.argwhere((before - 0.5) * (after - 0.5) < 0.0).tolist()
-    if config.fmt == "csv":
+    if args.format == "csv":
         machine = step_samples_csv(rewired)
     else:
         payload = {
@@ -225,44 +208,34 @@ def _cmd_rewire(config: RunConfig) -> tuple[str, list[str], int]:
                 "matrix_after": after.tolist(),
                 "flips": flips,
                 "prefix_consistency": [
-                    {"count": c.count, "threshold": c.threshold, "passed": c.passed}
-                    for c in verify_subpop_consistency(dist, rewired, config.tol)
+                    check.to_dict()
+                    for check in verify_subpop_consistency(dist, rewired, args.tol)
                 ],
             },
         }
         machine = json.dumps(payload, indent=2) + "\n"
     changed = float(abs(after - before).max())
     summary = [
-        f"league {config.league} rewired: {len(flips)} edge(s) flipped,"
+        f"league {args.league} rewired: {len(flips)} edge(s) flipped,"
         f" largest probability shift {changed:.3g}",
         f"equilibrium after rewire: {'pass' if nash.passed else 'FAIL'}",
     ]
     return machine, summary, 0
 
 
-def _cmd_export(config: RunConfig) -> tuple[str, list[str], int]:
-    dist = _load_distribution(config.input)
+def _cmd_export(args: argparse.Namespace) -> tuple[str, list[str], int]:
+    dist = _load_distribution(args.input)
     sol = solve(dist)
-    if config.fmt == "csv":
+    if args.format == "csv":
         machine = step_samples_csv(sol)
     else:
         matrix = outcome_matrix(sol)
-        part = leagues(sol, config.tol)
+        part = leagues(sol, args.tol)
         machine = export_digraph(
-            matrix, part, fmt=config.fmt, budgets=sol.budgets, tol=config.tol
+            matrix, part, fmt=args.format, budgets=sol.budgets, tol=args.tol
         )
-    summary = [f"exported {config.fmt} for {len(sol.groups)} group(s)"]
+    summary = [f"exported {args.format} for {len(sol.groups)} group(s)"]
     return machine, summary, 0
-
-
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "analyze": _cmd_analyze,
-    "dice": _cmd_dice,
-    "rewire": _cmd_rewire,
-    "export": _cmd_export,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,43 +243,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poplotto",
         description="Solve, verify, and analyze population lotto games.",
     )
+    # every command reads both; each declares the rest itself
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--tol", type=_tolerance, default=1e-9, help="violation tolerance"
+    )
+    shared.add_argument("--out", default=None, help="write machine output here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_fmt: str = "json") -> None:
-        p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance")
-        p.add_argument("--format", default=default_fmt, choices=("json", "csv", "dot"))
-        p.add_argument("--out", default=None, help="write machine output here")
-        p.add_argument("--seed", type=int, default=0, help="search seed")
-
-    p = sub.add_parser("solve", help="equilibrium strategies for a budget distribution")
+    p = sub.add_parser(
+        "solve",
+        parents=[shared],
+        help="equilibrium strategies for a budget distribution",
+    )
     p.add_argument("input", help="JSON with {'subpopulations': [{'budget','mass'}]}")
-    common(p)
+    p.add_argument("--format", default="json", choices=("json", "csv"))
+    p.set_defaults(run=_cmd_solve)
 
-    p = sub.add_parser("verify", help="certify a stored solution, exit 2 on failure")
+    p = sub.add_parser(
+        "verify", parents=[shared], help="certify a stored solution, exit 2 on failure"
+    )
     p.add_argument("input", help="JSON solution as written by solve")
-    common(p)
+    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("analyze", help="leagues, outcomes, transitivity, sub-leagues")
+    p = sub.add_parser(
+        "analyze", parents=[shared], help="leagues, outcomes, transitivity, sub-leagues"
+    )
     p.add_argument("input", help="JSON budget distribution")
-    common(p)
+    p.set_defaults(run=_cmd_analyze)
 
-    p = sub.add_parser("dice", help="embed dice as a population and report the cycle")
+    p = sub.add_parser(
+        "dice", parents=[shared], help="embed dice as a population and report the cycle"
+    )
     p.add_argument(
         "input",
         nargs="?",
         default=None,
         help="JSON with {'dice': [[faces], ...]}; omit for the searched triple",
     )
-    common(p)
+    p.set_defaults(run=_cmd_dice)
 
-    p = sub.add_parser("rewire", help="reshape outcomes inside one league")
+    p = sub.add_parser(
+        "rewire", parents=[shared], help="reshape outcomes inside one league"
+    )
     p.add_argument("input", help="JSON budget distribution")
+    p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--league", type=int, default=0, help="league index to rewire")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="search seed")
+    p.set_defaults(run=_cmd_rewire)
 
-    p = sub.add_parser("export", help="digraph (dot/json) or step samples (csv)")
+    p = sub.add_parser(
+        "export", parents=[shared], help="digraph (dot/json) or step samples (csv)"
+    )
     p.add_argument("input", help="JSON budget distribution")
-    common(p, default_fmt="dot")
+    p.add_argument("--format", default="dot", choices=("dot", "json", "csv"))
+    p.set_defaults(run=_cmd_export)
 
     return parser
 
@@ -318,27 +309,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for failed verification
         return 0 if exc.code == 0 else 1
     try:
-        config = RunConfig(
-            command=args.command,
-            input=args.input,
-            output=args.out,
-            tol=args.tol,
-            fmt=args.format,
-            seed=args.seed,
-            league=getattr(args, "league", 0),
-        )
-        machine, summary, status = _DISPATCH[config.command](config)
+        machine, summary, status = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    if config.output is not None:
+    if args.out is not None:
         try:
-            Path(config.output).write_text(machine)
+            Path(args.out).write_text(machine)
         except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
         for line in summary:
             print(line)

@@ -125,11 +125,11 @@ class PrefixCheck:
         return self.report.passed
 
     def to_dict(self) -> dict:
+        """The verdict alone; ``report`` stays out of rewire documents."""
         return {
             "count": self.count,
             "threshold": self.threshold,
             "passed": self.passed,
-            "report": self.report.to_dict(),
         }
 
 

@@ -227,17 +227,23 @@ def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
 
     n = len(sol.groups)
     probs = np.full((n, n), 0.5)
-    _contests(probs, sol, combinations(range(n), 2))
+    _contests(probs, _unit_strategies(sol), combinations(range(n), 2))
     return OutcomeMatrix(probs)
 
 
-def _contests(probs: np.ndarray, sol: EquilibriumSolution, pairs: Iterable) -> None:
-    """Play each pair ``i < j`` into ``probs[i, j]``.
+def _unit_strategies(sol: EquilibriumSolution) -> list[PiecewiseDensity]:
+    """Every group's strategy scaled to unit mass, as contests read it."""
+    return [g.strategy.normalized() for g in sol.groups]
+
+
+def _contests(
+    probs: np.ndarray, norms: Sequence[PiecewiseDensity], pairs: Iterable
+) -> None:
+    """Play each pair ``i < j`` of unit-mass strategies into ``probs[i, j]``.
 
     The lower triangle takes the zero-sum complement, which keeps the
     matrix exactly consistent.
     """
-    norms = [g.strategy.normalized() for g in sol.groups]
     for i, j in pairs:
         p = win_prob(norms[i], norms[j])
         probs[i, j] = p
@@ -245,14 +251,20 @@ def _contests(probs: np.ndarray, sol: EquilibriumSolution, pairs: Iterable) -> N
 
 
 def _replayed(
-    probs: np.ndarray, sol: EquilibriumSolution, changed: EquilibriumSolution
+    probs: np.ndarray,
+    norms: Sequence[PiecewiseDensity],
+    sol: EquilibriumSolution,
+    changed: EquilibriumSolution,
 ) -> np.ndarray:
-    """``outcome_matrix(changed).probs`` from ``probs`` of ``sol``, playing only
-    the contests of groups whose ``SubPopulation`` is not ``sol``'s."""
-    moved = {k for k, g in enumerate(changed.groups) if g is not sol.groups[k]}
-    pairs = combinations(range(len(probs)), 2)
+    """``outcome_matrix(changed).probs`` from ``probs`` and ``norms`` of ``sol``,
+    playing only the contests of groups whose ``SubPopulation`` is not ``sol``'s."""
+    norms = list(norms)
+    moved = [k for k, g in enumerate(changed.groups) if g is not sol.groups[k]]
+    for k in moved:
+        norms[k] = changed.groups[k].strategy.normalized()
+    pairs = {(min(k, m), max(k, m)) for k in moved for m in range(len(norms)) if m != k}
     after = probs.copy()
-    _contests(after, changed, [(i, j) for i, j in pairs if i in moved or j in moved])
+    _contests(after, norms, pairs)
     return after
 
 
@@ -274,28 +286,19 @@ class TransitivityReport:
 
     @property
     def flags(self) -> dict[str, bool]:
-        return {
-            "weak_stochastic": not self.weak_stochastic,
-            "strong_stochastic": not self.strong_stochastic,
-            "certainty": not self.certainty,
-            "dominance": not self.dominance,
-            "establishment": not self.establishment,
-        }
+        return {name: not getattr(self, name) for name in _NOTIONS}
 
     def to_dict(self) -> dict:
         return {
             "tol": self.tol,
             "flags": self.flags,
             "violations": {
-                "weak_stochastic": [list(t) for t in self.weak_stochastic],
-                "strong_stochastic": [list(t) for t in self.strong_stochastic],
-                "certainty": [list(t) for t in self.certainty],
-                "dominance": [list(t) for t in self.dominance],
-                "establishment": [list(t) for t in self.establishment],
+                name: [list(t) for t in getattr(self, name)] for name in _NOTIONS
             },
         }
 
 
+# the report's fields in the order every flag, violation list and mask takes
 _NOTIONS = (
     "weak_stochastic",
     "strong_stochastic",
@@ -550,10 +553,11 @@ def league_rewire(
         raise ValueError("league members have no overlapping supports")
     rng = np.random.default_rng(seed)
     before = outcome_matrix(sol).probs
+    norms = _unit_strategies(sol)
 
     def judge(candidate: EquilibriumSolution) -> tuple[bool, bool]:
         """Whether ``candidate`` flips an edge, and whether it shifts any outcome."""
-        after = _replayed(before, sol, candidate)
+        after = _replayed(before, norms, sol, candidate)
         flips = ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
         return bool(np.any(flips)), bool(np.max(np.abs(after - before)) > tol)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -286,6 +287,39 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
     assert main(["solve", src, "--format", "dot"]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err
+
+
+OPTIONS = {
+    "solve": {"--tol", "--out", "--format"},
+    "verify": {"--tol", "--out"},
+    "analyze": {"--tol", "--out"},
+    "dice": {"--tol", "--out"},
+    "rewire": {"--tol", "--out", "--format", "--league", "--seed"},
+    "export": {"--tol", "--out", "--format"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_command_lists_only_the_options_it_reads(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert listed == OPTIONS[command] | {"--help"}
+
+
+def test_options_a_command_does_not_read_exit_one(tmp_path):
+    src = write_json(tmp_path, "near_tie.json", NEAR_TIE)
+    for argv in (
+        ["analyze", src, "--seed", "1"],
+        ["verify", src, "--format", "json"],
+        ["solve", src, "--format", "dot"],
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    proc = run_cli("rewire", src, "--league", "0", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reports"]["flips"]
 
 
 def test_usage_errors_exit_one_and_help_exits_zero(tmp_path, capsys):

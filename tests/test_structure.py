@@ -34,6 +34,7 @@ from poplotto.structure import (
     TransitivityReport,
     _replayed,
     _slice_swap,
+    _unit_strategies,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -447,7 +448,8 @@ def test_replayed_contests_match_the_full_matrix(dist, data):
     candidate = _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
     if candidate is None:
         return
-    replayed = _replayed(outcome_matrix(sol).probs, sol, candidate)
+    norms = _unit_strategies(sol)
+    replayed = _replayed(outcome_matrix(sol).probs, norms, sol, candidate)
     assert np.array_equal(replayed, outcome_matrix(candidate).probs)
 
 
@@ -466,6 +468,37 @@ def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
     assert cli.main(["rewire", src, "--league", "0", "--seed", "0"]) == 0
     capsys.readouterr()
     assert len(calls) <= 2
+
+
+def test_rewire_candidates_reuse_the_solved_unit_strategies(monkeypatch):
+    """Each candidate normalises only its two changed strategies and replays
+    only their 2n - 3 contests; the solved strategies are normalised once
+    for the solved matrix and once for every replay to share."""
+    doc = json.loads((Path(__file__).parent / "data" / "flooding.json").read_text())
+    sol = solve(DiscreteBudgetDistribution.from_dict(doc))
+    n = len(sol.groups)
+    solved = {id(g.strategy) for g in sol.groups}
+    normalized = []
+    original = PiecewiseDensity.normalized
+
+    def counted(self):
+        normalized.append(id(self) in solved)
+        return original(self)
+
+    played = []
+    contests = structure._contests
+
+    def recorded(probs, norms, pairs):
+        pairs = list(pairs)
+        played.append(len(pairs))
+        contests(probs, norms, pairs)
+
+    monkeypatch.setattr(PiecewiseDensity, "normalized", counted)
+    monkeypatch.setattr(structure, "_contests", recorded)
+    league_rewire(sol, 4, seed=0)  # a warm-start flip, several candidates
+    assert played[0] == n * (n - 1) // 2
+    assert len(played) > 2 and set(played[1:]) == {2 * n - 3}
+    assert sum(normalized) == 2 * n
 
 
 def test_rewire_rejects_unusable_leagues(wide_sol):
