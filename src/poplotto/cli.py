@@ -226,14 +226,11 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
 def _cmd_export(args: argparse.Namespace) -> tuple[str, list[str], int]:
     dist = _load_distribution(args.input)
     sol = solve(dist)
-    if args.format == "csv":
-        machine = step_samples_csv(sol)
-    else:
-        matrix = outcome_matrix(sol)
-        part = leagues(sol, args.tol)
-        machine = export_digraph(
-            matrix, part, fmt=args.format, budgets=sol.budgets, tol=args.tol
-        )
+    matrix = outcome_matrix(sol)
+    part = leagues(sol, args.tol)
+    machine = export_digraph(
+        matrix, part, fmt=args.format, budgets=sol.budgets, tol=args.tol
+    )
     summary = [f"exported {args.format} for {len(sol.groups)} group(s)"]
     return machine, summary, 0
 
@@ -293,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_rewire)
 
     p = sub.add_parser(
-        "export", parents=[shared], help="digraph (dot/json) or step samples (csv)"
+        "export", parents=[shared], help="outcome digraph, leagues as clusters"
     )
     p.add_argument("input", help="JSON budget distribution")
-    p.add_argument("--format", default="dot", choices=("dot", "json", "csv"))
+    p.add_argument("--format", default="dot", choices=("dot", "json"))
     p.set_defaults(run=_cmd_export)
 
     return parser

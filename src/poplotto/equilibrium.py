@@ -77,8 +77,6 @@ class EquilibriumReport:
     monotone_violation: float | None = None
     cdf_at_zero: float | None = None
     mixture_gap: float | None = None
-    best_dyad: Dyad | None = None
-    best_dyad_gain: float | None = None
 
     def violations(self) -> list[float]:
         out = []
@@ -87,8 +85,6 @@ class EquilibriumReport:
         for value in (self.monotone_violation, self.cdf_at_zero, self.mixture_gap):
             if value is not None:
                 out.append(value)
-        if self.best_dyad_gain is not None:
-            out.append(max(self.best_dyad_gain, 0.0))
         return out
 
     @property
@@ -107,8 +103,9 @@ class EquilibriumReport:
             "monotone_violation": self.monotone_violation,
             "cdf_at_zero": self.cdf_at_zero,
             "mixture_gap": self.mixture_gap,
-            "best_dyad": self.best_dyad.to_dict() if self.best_dyad else None,
-            "best_dyad_gain": self.best_dyad_gain,
+            # no certificate fills these; the keys stay so documents keep their shape
+            "best_dyad": None,
+            "best_dyad_gain": None,
         }
 
 
@@ -225,11 +222,7 @@ def verify_linear_bounds(
     support.
     """
     agg = sol.aggregate
-    candidates = {0.0, *agg.breakpoints, *(loc for loc, _ in agg.atoms)}
-    sup = agg.support
-    if sup is not None:
-        candidates.add(sup[1])
-    candidate_list = sorted(candidates)
+    candidate_list = sorted({0.0, *agg.breakpoints, *(loc for loc, _ in agg.atoms)})
     inclusive = [agg.cdf(x).inclusive for x in candidate_list]
     checks = []
     for g in sol.groups:
@@ -312,9 +305,7 @@ def _envelope_dyad(
     return dyad, dyad_payoff(dyad, aggregate) - aggregate.cdf(budget).midpoint
 
 
-def best_dyad(
-    budget: float, aggregate: PiecewiseDensity, tol: float = EPS
-) -> tuple[Dyad, float]:
+def best_dyad(budget: float, aggregate: PiecewiseDensity) -> tuple[Dyad, float]:
     """Most profitable two-point deviation for a unit budget holder.
 
     A dyad ``(low, high)`` at the budget earns the chord of the cumulative
@@ -329,8 +320,7 @@ def best_dyad(
     point.  Raises ``ValueError`` when no grid point lies below
     ``budget - EPS``, as for a budget within ``EPS`` of zero, or above
     ``budget + EPS``, as for a budget so large that adding one is lost to
-    rounding.  ``tol`` is accepted for call compatibility and is not read:
-    the gain comes back raw, and the caller compares it.
+    rounding.  The gain comes back raw, and the caller compares it.
     """
     return _envelope_dyad(budget, aggregate, _dyad_grid(aggregate))
 

@@ -47,11 +47,9 @@ class Dyad:
         """Fraction of mass placed at ``low``; lies strictly in (0, 1)."""
         return (self.high - self.budget) / (self.high - self.low)
 
-    def as_density(self, mass: float = 1.0) -> PiecewiseDensity:
+    def as_density(self) -> PiecewiseDensity:
         lam = self.low_weight
-        return PiecewiseDensity(
-            (), (), ((self.low, mass * lam), (self.high, mass * (1.0 - lam)))
-        )
+        return PiecewiseDensity((), (), ((self.low, lam), (self.high, 1.0 - lam)))
 
     def to_dict(self) -> dict:
         return {

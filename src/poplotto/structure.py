@@ -29,7 +29,7 @@ from .solver import (
 )
 
 # numpy loads inside the functions that build or read arrays, so the
-# array-free commands (solve, verify, csv export) start without it
+# array-free commands (solve, verify) start without it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -566,7 +566,7 @@ def league_rewire(
         # is a mixture of the same densities, so it is literally unchanged,
         # and a cycle through the pair reverses.
         for a, b, _, _ in pairs:
-            if abs(sol.groups[a].budget - sol.groups[b].budget) > tol:
+            if abs(sol.groups[a].budget - sol.groups[b].budget) > EPS:
                 continue
             swapped = list(sol.groups)
             swapped[a] = replace(sol.groups[a], strategy=sol.groups[b].strategy)
