@@ -7,8 +7,9 @@ pipes stay clean.  Outputs are deterministic for a fixed input and seed,
 byte for byte.  Each subcommand declares only the options its handler
 reads, so an option a command would ignore is a usage error.
 
-Exit codes: 0 success, 1 invalid input or arguments, 2 verification
-failed, 3 solver failure.
+Exit codes: 0 success, 1 invalid input or arguments or output that
+cannot be written (an unwritable ``--out``, a closed standard output),
+2 verification failed, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -313,18 +315,25 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    summary_stream = sys.stderr
     if args.out is not None:
         try:
             Path(args.out).write_text(machine)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
-        for line in summary:
-            print(line)
-    else:
+        machine, summary_stream = "", sys.stdout
+    try:
         sys.stdout.write(machine)
         for line in summary:
-            print(line, file=sys.stderr)
+            print(line, file=summary_stream)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return 1
     return status
 
 

@@ -16,7 +16,7 @@ import json
 import numbers
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .density import EPS, PiecewiseDensity, mixture, refine
 from .payoff import win_prob
@@ -227,7 +227,7 @@ def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
 
     n = len(sol.groups)
     probs = np.full((n, n), 0.5)
-    _contests(probs, _unit_strategies(sol), combinations(range(n), 2))
+    _contests(probs, _unit_strategies(sol), np.column_stack(np.triu_indices(n, 1)))
     return OutcomeMatrix(probs)
 
 
@@ -237,14 +237,33 @@ def _unit_strategies(sol: EquilibriumSolution) -> list[PiecewiseDensity]:
 
 
 def _contests(
-    probs: np.ndarray, norms: Sequence[PiecewiseDensity], pairs: Iterable
+    probs: np.ndarray,
+    norms: Sequence[PiecewiseDensity],
+    pairs: np.ndarray | Sequence[tuple[int, int]],
 ) -> None:
     """Play each pair ``i < j`` of unit-mass strategies into ``probs[i, j]``.
 
     The lower triangle takes the zero-sum complement, which keeps the
-    matrix exactly consistent.
+    matrix exactly consistent.  A pair whose hulls satisfy
+    ``hi_i + EPS < lo_j - EPS``, each side rounded as computed, is settled
+    as 0.0 without a contest, because ``win_prob(f_i, f_j)`` is exactly 0.0:
+    ``refine(..., within=f_i)`` gives f_i a height only at cell midpoints up
+    to ``hi_i + EPS``, in cells that start at one of f_i's points; there
+    ``f_j.cdf(lo)`` and ``f_j.height_at(mid)`` read 0.0, as
+    ``f_j.cdf(loc).midpoint`` does at every atom of f_i, so each term is a
+    finite height or mass times 0.0.  A pair with j below i still plays:
+    its masses need not sum to exactly 1.0.
     """
-    for i, j in pairs:
+    import numpy as np
+
+    # (m, 2) and (n, 2) even when there are no pairs or no groups
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    hulls = np.array([d.support for d in norms], dtype=float).reshape(-1, 2)
+    i, j = pairs.T
+    settled = hulls[i, 1] + EPS < hulls[j, 0] - EPS
+    probs[i[settled], j[settled]] = 0.0
+    probs[j[settled], i[settled]] = 1.0
+    for i, j in pairs[~settled].tolist():
         p = win_prob(norms[i], norms[j])
         probs[i, j] = p
         probs[j, i] = 1.0 - p
@@ -262,7 +281,9 @@ def _replayed(
     moved = [k for k, g in enumerate(changed.groups) if g is not sol.groups[k]]
     for k in moved:
         norms[k] = changed.groups[k].strategy.normalized()
-    pairs = {(min(k, m), max(k, m)) for k in moved for m in range(len(norms)) if m != k}
+    pairs = sorted(
+        {(min(k, m), max(k, m)) for k in moved for m in range(len(norms)) if m != k}
+    )
     after = probs.copy()
     _contests(after, norms, pairs)
     return after
@@ -311,7 +332,7 @@ _NOTIONS = (
 def transitivity_report(
     matrix: OutcomeMatrix, tol: float = EPS
 ) -> TransitivityReport:
-    """Exhaustively audit all ordered triples against five notions.
+    """Audit every ordered triple against five notions.
 
     weak: two expected wins chain to an expected win.
     strong: the chained win is at least as strong as both links.
@@ -320,46 +341,87 @@ def transitivity_report(
     establishment: a sure win followed by an expected win chains to a sure
     win; this is the one notion equilibrium populations can break.
 
-    Vectorised one ``i`` at a time over the ``(j, k)`` plane, so memory
-    stays O(n^2).  Rows are the j whose result against i can open a
-    hypothesis, and reading each mask in row-major order lists the triples
-    in ``itertools.permutations`` order.
+    Only triples inside one block of ``_blocks`` are compared, since no
+    other triple can violate a notion.  Take ``(i, j, k)`` across blocks.
+    If k's block is richer than i's, ``w_ki`` is at least
+    ``max(1, max W) - tol``: not below ``0.5 - tol``, ``1 - tol`` or either
+    link minus ``tol``, so no conclusion fails.  Otherwise the blocks rank
+    ``j`` below ``i``, or ``j`` above ``k``, so ``w_ji`` or ``w_kj`` is a poorer
+    block's result against a richer one, below ``min(0.5, 1 - tol)``, and
+    no hypothesis holds.  A matrix with no cut is one block.
+
+    Each block is vectorised one ``i`` at a time over the ``(j, k)`` plane,
+    so memory stays O(n^2).  Rows are the j whose result against i can
+    open a hypothesis.  Sorting the triples lists them in
+    ``itertools.permutations`` order.
     """
     import numpy as np
 
-    W = matrix.probs
     sure = 1.0 - tol
-    cols = np.arange(matrix.n)
     found: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _NOTIONS}
-    for i in range(matrix.n):
-        w = W[:, i]  # each group's result against i, read at j and at k
-        rows = np.flatnonzero((w >= min(0.5, sure)) & (cols != i))
-        if not rows.size:
+    for block in _blocks(matrix.probs, tol):
+        if len(block) < 3:
             continue
-        wji = w[rows, None]
-        wki = w[None, :]
-        wkj = W[:, rows].T
-        # k ranges over everyone but i and j
-        other = (cols[None, :] != rows[:, None]) & (cols[None, :] != i)
-        wins = (wkj >= 0.5) & other
-        sure_wins = (wkj >= sure) & other
-        expected = wji >= 0.5
-        certain = wji >= sure
-        falls = wki < sure
-        chained = expected & wins
-        masks = (
-            chained & (wki < 0.5 - tol),
-            chained & (wki < np.maximum(wji, wkj) - tol),
-            certain & sure_wins & falls,
-            expected & sure_wins & falls,
-            certain & wins & falls,
-        )
-        for name, mask in zip(_NOTIONS, masks):
-            j, k = np.nonzero(mask)
-            found[name].extend(zip([i] * len(j), rows[j].tolist(), k.tolist()))
+        W = matrix.probs[np.ix_(block, block)]
+        cols = np.arange(len(block))
+        for i in cols:
+            w = W[:, i]  # each group's result against i, read at j and at k
+            rows = np.flatnonzero((w >= min(0.5, sure)) & (cols != i))
+            if not rows.size:
+                continue
+            wji = w[rows, None]
+            wki = w[None, :]
+            wkj = W[:, rows].T
+            # k ranges over everyone but i and j
+            other = (cols[None, :] != rows[:, None]) & (cols[None, :] != i)
+            wins = (wkj >= 0.5) & other
+            sure_wins = (wkj >= sure) & other
+            expected = wji >= 0.5
+            certain = wji >= sure
+            falls = wki < sure
+            chained = expected & wins
+            masks = (
+                chained & (wki < 0.5 - tol),
+                chained & (wki < np.maximum(wji, wkj) - tol),
+                certain & sure_wins & falls,
+                expected & sure_wins & falls,
+                certain & wins & falls,
+            )
+            for name, mask in zip(_NOTIONS, masks):
+                j, k = np.nonzero(mask)
+                found[name].extend(
+                    zip(
+                        [int(block[i])] * len(j),
+                        block[rows[j]].tolist(),
+                        block[k].tolist(),
+                    )
+                )
     return TransitivityReport(
-        tol=tol, **{name: tuple(triples) for name, triples in found.items()}
+        tol=tol, **{name: tuple(sorted(triples)) for name, triples in found.items()}
     )
+
+
+def _blocks(W: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The finest split of the groups, by row sum, into blocks of settled rank.
+
+    Groups are sorted by row sum, stably, and cut wherever every entry
+    ``W[r, p]`` of a richer group r against a poorer group p across the cut
+    is at least ``max(1, max W) - tol``, and its mirror ``W[p, r]`` is below
+    ``min(0.5, 1 - tol)``.  A cut before position c needs this of every
+    ``p < c <= r``, so it holds when no column p < c has an unsettled entry
+    in a row at or past c.  O(n^2) time and memory.
+    """
+    import numpy as np
+
+    n = len(W)
+    order = np.argsort(W.sum(axis=1), kind="stable")
+    P = W[np.ix_(order, order)]
+    settled = (P >= P.max(initial=1.0) - tol) & (P.T < min(0.5, 1.0 - tol))
+    pos = np.arange(n)
+    # the last row past p whose entry against p is unsettled, else p itself
+    reach = np.where(np.tril(~settled, -1), pos[:, None], pos[None, :])
+    reach = np.maximum.accumulate(reach.max(axis=0, initial=0))
+    return np.split(order, np.flatnonzero(reach[:-1] < pos[1:]) + 1)
 
 
 def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:

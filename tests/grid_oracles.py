@@ -9,18 +9,27 @@ checks that the rewritten functions give exactly the same output.
 before it kept one running mixture, and ``best_dyad_scan`` is the pair scan
 ``best_dyad`` ran before it read the best dyad off the upper concave
 envelope; ``tests/test_equilibrium.py`` compares each with its rewrite.
+``outcome_matrix`` plays every contest, and ``transitivity_report`` audits
+the whole matrix as one block, as the package did before it settled
+contests whose hulls do not meet and audited the blocks of the matrix one
+by one; ``tests/test_structure.py`` compares each with its rewrite.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
+from poplotto import payoff
 from poplotto.density import EPS, PiecewiseDensity
 from poplotto.equilibrium import EquilibriumReport, GroupCheck, PrefixCheck
 from poplotto.payoff import Dyad, dyad_payoff
 from poplotto.solver import EquilibriumSolution, SubPopulation
+from poplotto.structure import _NOTIONS, OutcomeMatrix, TransitivityReport
 
 
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
@@ -235,3 +244,52 @@ def best_dyad_scan(budget: float, aggregate: PiecewiseDensity) -> tuple[Dyad, fl
                 best_value = value
     assert best is not None, "no grid pair straddles the budget"
     return best, best_value - baseline
+
+
+def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
+    """``payoff.win_prob`` for every pair ``i < j``, the complement below."""
+    n = len(sol.groups)
+    norms = [g.strategy.normalized() for g in sol.groups]
+    probs = np.full((n, n), 0.5)
+    for i, j in combinations(range(n), 2):
+        p = payoff.win_prob(norms[i], norms[j])
+        probs[i, j] = p
+        probs[j, i] = 1.0 - p
+    return OutcomeMatrix(probs)
+
+
+def transitivity_report(matrix: OutcomeMatrix, tol: float) -> TransitivityReport:
+    """Every ordered triple of the whole matrix, one ``i`` at a time over
+    the ``(j, k)`` plane, in ``itertools.permutations`` order."""
+    W = matrix.probs
+    sure = 1.0 - tol
+    cols = np.arange(matrix.n)
+    found: dict[str, list[tuple[int, int, int]]] = {name: [] for name in _NOTIONS}
+    for i in range(matrix.n):
+        w = W[:, i]
+        rows = np.flatnonzero((w >= min(0.5, sure)) & (cols != i))
+        if not rows.size:
+            continue
+        wji = w[rows, None]
+        wki = w[None, :]
+        wkj = W[:, rows].T
+        other = (cols[None, :] != rows[:, None]) & (cols[None, :] != i)
+        wins = (wkj >= 0.5) & other
+        sure_wins = (wkj >= sure) & other
+        expected = wji >= 0.5
+        certain = wji >= sure
+        falls = wki < sure
+        chained = expected & wins
+        masks = (
+            chained & (wki < 0.5 - tol),
+            chained & (wki < np.maximum(wji, wkj) - tol),
+            certain & sure_wins & falls,
+            expected & sure_wins & falls,
+            certain & wins & falls,
+        )
+        for name, mask in zip(_NOTIONS, masks):
+            j, k = np.nonzero(mask)
+            found[name].extend(zip([i] * len(j), rows[j].tolist(), k.tolist()))
+    return TransitivityReport(
+        tol=tol, **{name: tuple(triples) for name, triples in found.items()}
+    )

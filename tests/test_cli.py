@@ -347,6 +347,31 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert "cannot write" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("analyze", "--out", "{tmp}/analyze.json")],
+    ids=["solve document", "analyze summary"],
+)
+def test_closed_stdout_exits_one_without_traceback(argv, tmp_path):
+    """A reader that closes the pipe at once ends the run with exit 1, as
+    an unwritable ``--out`` does, and leaves no traceback on stderr."""
+    package_root = str(Path(poplotto.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    command, *options = (arg.format(tmp=tmp_path) for arg in argv)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poplotto.cli", command, str(DATA / "pair.json"), *options],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "standard output is closed" in err
+
+
 def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     def explode(dist):
         raise SolverError("synthetic failure", group_index=0)

@@ -9,8 +9,10 @@ keys of a league other than 0 carry ``league-k``.  The four rewires end in
 each way the search can return: a greedy flip (near_tie league 0), the
 fallback (nine_rows league 0), a warm-start flip (flooding league 4) and a
 greedy move (flooding league 6).  A change that moves any of them changes
-what users get for a fixed input, so it must be deliberate.  Print the current hashes with
-``PYTHONPATH=src python tests/test_golden.py``.
+what users get for a fixed input, so it must be deliberate.  Every key in
+the file must name a document that ``documents`` lists, so a dropped
+document cannot leave its hash behind unchecked.  Print the current hashes
+with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -33,41 +35,39 @@ REWIRED = {"near_tie": (0,), "nine_rows": (0,), "flooding": (4, 6)}
 REWIRED_CSV = ("near_tie",)
 
 
-def _document(argv: list[str], out: Path) -> str:
-    """sha256 of the machine document ``poplotto argv --out out`` writes."""
-    assert main([*argv, "--out", str(out)]) == 0, argv
-    return hashlib.sha256(out.read_bytes()).hexdigest()
-
-
-def document_hashes(name: str, workdir: Path) -> dict[str, str]:
-    """Every CLI document for one checked-in input, keyed ``command/name``."""
+def documents(name: str, workdir: Path) -> dict[str, tuple[list[str], Path]]:
+    """Every CLI command for one checked-in input and the file it writes,
+    keyed ``command/name`` in run order: verify reads what solve wrote."""
     src = str(DATA / f"{name}.json")
     if name in DICE:
-        return {f"dice/{name}": _document(["dice", src], workdir / "dice.json")}
+        return {f"dice/{name}": (["dice", src], workdir / "dice.json")}
     solution = workdir / f"{name}.solution.json"
-    hashes = {
-        f"solve/{name}": _document(["solve", src], solution),
-        f"verify/{name}": _document(["verify", str(solution)], workdir / "v.json"),
-        f"analyze/{name}": _document(["analyze", src], workdir / "a.json"),
-        f"export/{name}": _document(
-            ["export", src, "--format", "json"], workdir / "e.json"
-        ),
-        f"solve-csv/{name}": _document(
-            ["solve", src, "--format", "csv"], workdir / "s.csv"
-        ),
-        f"export-dot/{name}": _document(
-            ["export", src, "--format", "dot"], workdir / "e.dot"
-        ),
+    commands = {
+        f"solve/{name}": (["solve", src], solution),
+        f"verify/{name}": (["verify", str(solution)], workdir / "v.json"),
+        f"analyze/{name}": (["analyze", src], workdir / "a.json"),
+        f"export/{name}": (["export", src, "--format", "json"], workdir / "e.json"),
+        f"solve-csv/{name}": (["solve", src, "--format", "csv"], workdir / "s.csv"),
+        f"export-dot/{name}": (["export", src, "--format", "dot"], workdir / "e.dot"),
     }
     for league in REWIRED.get(name, ()):
         rewire = ["rewire", src, "--league", str(league), "--seed", "0"]
         command = "rewire" if league == 0 else f"rewire-league-{league}"
-        hashes[f"{command}/{name}"] = _document(rewire, workdir / "r.json")
+        commands[f"{command}/{name}"] = (rewire, workdir / "r.json")
     if name in REWIRED_CSV:
-        hashes[f"rewire-csv/{name}"] = _document(
+        commands[f"rewire-csv/{name}"] = (
             ["rewire", src, "--league", "0", "--seed", "0", "--format", "csv"],
             workdir / "r.csv",
         )
+    return commands
+
+
+def document_hashes(name: str, workdir: Path) -> dict[str, str]:
+    """sha256 of every document ``documents(name)`` lists, by its key."""
+    hashes = {}
+    for key, (argv, out) in documents(name, workdir).items():
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        hashes[key] = hashlib.sha256(out.read_bytes()).hexdigest()
     return hashes
 
 
@@ -77,6 +77,15 @@ def test_documents_match_golden_hashes(name, tmp_path, capsys):
     got = document_hashes(name, tmp_path)
     capsys.readouterr()
     assert got == {key: golden[key] for key in got}
+
+
+def test_every_golden_hash_names_a_produced_document(tmp_path):
+    """A key no input produces would otherwise go unchecked for good."""
+    golden = json.loads((DATA / "golden_sha256.json").read_text())
+    produced = set()
+    for name in POPULATIONS + DICE:
+        produced.update(documents(name, tmp_path))
+    assert produced == set(golden)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,9 @@ from tests.conftest import (
     document_or_error,
     scaled_populations,
 )
+from tests import grid_oracles as oracle
+
+FLOODING = Path(__file__).parent / "data" / "flooding.json"
 
 
 def test_leagues_pair_single_tread(pair_sol):
@@ -315,6 +318,146 @@ def test_transitivity_matches_triple_loop_on_fixtures(nine_sol, dice_pop, near_t
         for tol in (1e-15, 1e-9, 0.1):
             report = transitivity_report(matrix, tol)
             assert report == _transitivity_by_loop(matrix, tol)
+
+
+@st.composite
+def hull_gapped_solutions(draw) -> EquilibriumSolution:
+    """Strategies whose hulls follow one another at gaps of a few EPS, with
+    atoms at the hull ends, listed in hull order or shuffled as dice are."""
+    left = draw(st.sampled_from([0.0, 1.0, 1000.0]))
+    strategies = []
+    for _ in range(draw(st.integers(2, 7))):
+        width = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+        right = left + width
+        if width:
+            ends = draw(st.sampled_from([(), (left,), (right,), (left, right)]))
+            strategies.append(
+                PiecewiseDensity((left, right), (1.0,), [(x, 0.25) for x in ends])
+            )
+        else:
+            strategies.append(PiecewiseDensity.point(left))
+        left = right + draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 3.0])) * EPS
+    if draw(st.booleans()):
+        strategies = draw(st.permutations(strategies))
+    share = 1.0 / len(strategies)
+    groups = tuple(SubPopulation(f.mean(), share, f) for f in strategies)
+    # the contests read only the strategies
+    return EquilibriumSolution(groups, PiecewiseDensity())
+
+
+@given(hull_gapped_solutions())
+@settings(deadline=None, max_examples=200)
+def test_settled_contests_match_every_contest_played(sol):
+    """A pair whose hulls lie more than 2 EPS apart reads exactly what
+    ``win_prob`` returns for it, at every gap around that threshold."""
+    got = outcome_matrix(sol).probs
+    assert got.tobytes() == oracle.outcome_matrix(sol).probs.tobytes()
+
+
+def test_outcome_matrix_plays_only_contests_in_reach(monkeypatch):
+    """Of flooding's 4,950 pairs, 653 have hulls within 2 EPS of each other;
+    every other pair is settled without a contest."""
+    sol = solve(DiscreteBudgetDistribution.from_dict(json.loads(FLOODING.read_text())))
+    played = []
+    contest = structure.win_prob
+
+    def counted(f, h):
+        played.append(1)
+        return contest(f, h)
+
+    monkeypatch.setattr(structure, "win_prob", counted)
+    outcome_matrix(sol)
+    assert len(played) <= 653
+
+
+@st.composite
+def blocked_matrices(draw) -> tuple[OutcomeMatrix, float]:
+    """Matrices built block by block, poorest first, whose results across
+    blocks sit on or beside the thresholds of a cut, with the groups then
+    relabelled at random."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.1, 0.5, 0.6]))
+    delta = draw(st.sampled_from([1e-16, 2.0**-52, 1e-12, 1e-6]))
+    edges = (1.0 - tol - delta, 1.0 - tol, 1.0 - tol + delta)
+    edges += (0.5 - delta, 0.5, 0.5 + delta)
+    inside = st.sampled_from((0.0, 1.0) + edges) | st.floats(0.0, 1.0)
+    across = st.sampled_from((1.0,) + edges)
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(block)
+    probs = np.full((n, n), 0.5)
+    for poorer in range(n):
+        for richer in range(poorer + 1, n):
+            value = draw(inside if block[richer] == block[poorer] else across)
+            # either orientation may be the one computed as a complement
+            if draw(st.booleans()):
+                probs[richer, poorer] = value
+                probs[poorer, richer] = 1.0 - value
+            else:
+                probs[poorer, richer] = 1.0 - value
+                probs[richer, poorer] = 1.0 - probs[poorer, richer]
+    labels = np.array(draw(st.permutations(range(n))))
+    return OutcomeMatrix(probs[np.ix_(labels, labels)]), tol
+
+
+@given(blocked_matrices())
+@settings(deadline=None, max_examples=200)
+def test_blocked_audit_matches_the_whole_matrix_audit(case):
+    matrix, tol = case
+    assert transitivity_report(matrix, tol) == oracle.transitivity_report(matrix, tol)
+
+
+OVER = 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "rows, tol, notion, triple",
+    [
+        # 0.45 is below one half yet a sure win at tol = 0.6, so a cut that
+        # asked only for results above one half would split all three
+        (
+            [[0.5, 0.45, 0.35], [0.55, 0.5, 0.45], [0.65, 0.55, 0.5]],
+            0.6,
+            "certainty",
+            (2, 1, 0),
+        ),
+        # a contest that rounds a hair above 1 makes the strong notion ask
+        # more than 1 - tol of the conclusion
+        (
+            [[0.5, 0.4, 1e-9], [0.6, 0.5, 1.0 - OVER], [1.0 - 1e-9, OVER, 0.5]],
+            1e-9,
+            "strong_stochastic",
+            (0, 1, 2),
+        ),
+    ],
+    ids=["sure win below one half", "result above one"],
+)
+def test_cut_keeps_a_violation_across_would_be_blocks(rows, tol, notion, triple):
+    matrix = OutcomeMatrix(np.array(rows))
+    report = transitivity_report(matrix, tol)
+    assert triple in getattr(report, notion)
+    assert report == oracle.transitivity_report(matrix, tol)
+
+
+def test_flooding_blocks_are_its_leagues():
+    """Leagues settle every contest between them, so the audit's finest
+    blocks on the flooding equilibrium are exactly its twelve leagues."""
+    sol = solve(DiscreteBudgetDistribution.from_dict(json.loads(FLOODING.read_text())))
+    blocks = structure._blocks(outcome_matrix(sol).probs, EPS)
+    assert sorted(map(sorted, blocks)) == sorted(map(sorted, leagues(sol).member_sets()))
+
+
+@given(scaled_populations(max_groups=15))
+@settings(deadline=None, max_examples=40)
+def test_solved_analysis_matches_the_dense_oracles(dist):
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    matrix = outcome_matrix(sol)
+    dense = oracle.outcome_matrix(sol)
+    assert matrix.probs.tobytes() == dense.probs.tobytes()
+    for tol in (1e-9, 1e-3, 0.6):
+        assert transitivity_report(matrix, tol) == oracle.transitivity_report(dense, tol)
 
 
 def test_single_die_embedding():
