@@ -26,10 +26,9 @@ from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError
 from .structure import (
     LeaguePartition,
     _replayed,
-    _unit_strategies,
+    _rewire,
     dice_to_population,
     export_digraph,
-    league_rewire,
     leagues,
     outcome_matrix,
     search_dice_triple,
@@ -193,10 +192,9 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
 
     dist = _load_distribution(args.input)
     sol = solve(dist)
-    rewired = league_rewire(sol, args.league, seed=args.seed, tol=args.tol)
+    rewired, before, norms = _rewire(sol, args.league, seed=args.seed, tol=args.tol)
     nash = verify_nash(rewired, args.tol)
-    before = outcome_matrix(sol).probs
-    after = _replayed(before, _unit_strategies(sol), sol, rewired)
+    after = _replayed(before, norms, sol, rewired)
     # row-major like the matrix; the diagonal reads 0.5, so it never flips
     flips = np.argwhere((before - 0.5) * (after - 0.5) < 0.0).tolist()
     if args.format == "csv":

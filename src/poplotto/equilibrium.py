@@ -13,16 +13,21 @@ and never collapsed into one:
 
 On top of these, ``best_dyad`` searches for the most profitable two-point
 deviation directly, and ``verify_subpop_consistency`` re-certifies every
-budget-truncated prefix of the population.  All failures are report
-content, not exceptions; tolerances are absolute.
+budget-truncated prefix of the population, all prefixes at once from one
+cumulative sum of the strategies' heights on a shared grid; a prefix's
+report is built only when read.  All failures are report content, not
+exceptions; tolerances are absolute.  numpy is imported inside
+``verify_subpop_consistency``, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
 from .payoff import Dyad, dyad_payoff, win_prob
@@ -111,15 +116,20 @@ class EquilibriumReport:
 
 @dataclass(frozen=True)
 class PrefixCheck:
-    """Verification verdict for one budget-truncated prefix."""
+    """Verification verdict for one budget-truncated prefix.
+
+    ``passed`` is the verdict; ``report``, whose ``passed`` agrees with it,
+    is built by ``_report`` when first read.
+    """
 
     count: int
     threshold: float
-    report: EquilibriumReport
+    passed: bool
+    _report: Callable[[], EquilibriumReport] = field(repr=False, compare=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
+    @functools.cached_property
+    def report(self) -> EquilibriumReport:
+        return self._report()
 
     def to_dict(self) -> dict:
         """The verdict alone; ``report`` stays out of rewire documents."""
@@ -364,32 +374,112 @@ def verify_subpop_consistency(
 ) -> list[PrefixCheck]:
     """Re-certify every budget-truncated prefix of the solution.
 
-    The prefix keeping the ``j`` lowest budgets is one running mixture of
-    their strategies, grown by one strategy per prefix and renormalized to
-    unit mass.  It must pass the shape checks of ``verify_nash`` and be
-    constant across each kept group's support hull.  Prefix reports carry
-    no payoffs and a null ``mixture_gap``, since the prefix aggregate is
-    its strategies' mixture by construction.  Solutions built by the
-    solver pass every prefix; hand-modified ones may not.
+    The prefix keeping the ``j`` lowest budgets has as aggregate the sum of
+    their strategies renormalized to unit mass.  Every strategy is read
+    once onto one shared grid, ``refine`` of all their breakpoints, so one
+    cumulative sum over the groups, divided by the running mass share,
+    gives every prefix aggregate at once, cell for cell the heights a
+    running mixture of the strategies would hold.  Atoms are pooled across
+    all strategies as the density constructor pools them, and summed the
+    same way.  Each prefix must pass the shape checks of ``verify_nash``
+    (no rise, no interior atom, no mass at zero) and be constant across
+    each kept group's support hull: on the cells wider than ``2 * EPS``
+    that the hull overlaps by at least ``EPS``, and on zero where it
+    overlaps the grid's outside by as much.  The verdicts come straight off these arrays; a prefix's
+    ``report`` carries no payoffs and a null ``mixture_gap``, since the
+    prefix aggregate is its strategies' mixture by construction.
+    Solutions built by the solver pass every prefix; hand-modified ones
+    may not.
     """
+    import numpy as np
+
     if len(dist) != len(sol.groups):
         raise ValueError("distribution and solution must have the same groups")
     for (budget, _), g in zip(dist.entries, sol.groups):
         if abs(budget - g.budget) > EPS:
             raise ValueError("distribution budgets do not match the solution")
-    out = []
-    mixed = PiecewiseDensity((), ())
-    share = 0.0
-    for count, g in enumerate(sol.groups, start=1):
-        mixed = mixture([(1.0, mixed), (1.0, g.strategy)])
-        share += g.mass
-        agg = mixed.scaled(1.0 / share)
+    groups = sol.groups
+    n = len(groups)
+    strategies = [g.strategy for g in groups]
+    edges, rows = refine([x for s in strategies for x in s.breakpoints], strategies)
+    # times 1 / share, not divided by it, as ``scaled`` does to a mixture
+    scale = (1.0 / np.add.accumulate([g.mass for g in groups]))[:, None]
+    heights = np.add.accumulate(np.array(rows)) * scale
+    # a grid starting above zero rises from nothing into its first cell
+    rise = heights[:, :1] if edges and edges[0] > EPS else heights[:, :0]
+    rise = np.maximum(
+        rise.max(axis=1, initial=0.0),
+        (heights[:, 1:] - heights[:, :-1]).max(axis=1, initial=0.0),
+    )
+
+    # atoms pool onto the first location of each run within EPS
+    atoms = sorted(
+        (loc, k, mass) for k, s in enumerate(strategies) for loc, mass in s.atoms
+    )
+    locs: list[float] = []
+    pooled = np.zeros((n, len(atoms)))
+    for loc, k, mass in atoms:
+        if not locs or loc - locs[-1] > EPS:
+            locs.append(loc)
+        pooled[k, len(locs) - 1] += mass
+    pooled = np.add.accumulate(pooled[:, : len(locs)]) * scale
+    at_zero = bisect.bisect_right(locs, EPS)
+    cdf_at_zero = pooled[:, :at_zero].sum(axis=1)
+    if edges and edges[0] < 0.0:
+        # cdf(0) also counts segment mass below zero, from where the
+        # prefix's first segment starts
+        first = [s.breakpoints[0] if s.breakpoints else math.inf for s in strategies]
+        left = np.maximum(edges[:-1], np.minimum.accumulate(first)[:, None])
+        below = np.maximum(np.minimum(edges[1:], 0.0) - left, 0.0)
+        cdf_at_zero = (heights * below).sum(axis=1) + cdf_at_zero
+    monotone = np.maximum(rise, pooled[:, at_zero:].max(axis=1, initial=0.0))
+
+    # flat[k, j]: group k's flatness at prefix j >= k, read on the cells
+    # reaching at least EPS into its hull and, where the hull reaches as
+    # far past the grid, on the zero outside it.  A cell whose midpoint is
+    # within EPS of an edge reads its neighbours' heights through the snap
+    # of ``height_at``, so only the wider cells are read, as reading the
+    # aggregate itself through ``height_at`` would
+    wide = [
+        c
+        for c, (a, b) in enumerate(zip(edges, edges[1:]))
+        if 0.5 * (a + b) - a > EPS and b - 0.5 * (a + b) > EPS
+    ]
+    lefts, rights = [edges[c] for c in wide], [edges[c + 1] for c in wide]
+    level = heights[:, wide]
+    flat = np.zeros((n, n))
+    for k, s in enumerate(strategies):
+        hull = s.support
+        if hull is None or hull[1] - hull[0] <= EPS:
+            continue
+        lo, hi = hull
+        # the cells with right - lo >= EPS and hi - left >= EPS
+        start = bisect.bisect_left(rights, EPS, key=lambda x: x - lo)
+        stop = bisect.bisect_right(lefts, -EPS, key=lambda x: x - hi)
+        if start < stop:
+            seen = level[k:, start:stop]
+            outside = edges[0] - lo >= EPS or hi - edges[-1] >= EPS
+            floor = 0.0 if outside else seen.min(axis=1)
+            flat[k, k:] = seen.max(axis=1) - floor
+        start = bisect.bisect_right(locs, lo + EPS)
+        stop = bisect.bisect_left(locs, hi - EPS)
+        if start < stop:
+            flat[k, k:] = np.maximum(flat[k, k:], pooled[k:, start:stop].max(axis=1))
+    worst = np.maximum(np.maximum(flat.max(axis=0), monotone), cdf_at_zero)
+
+    def report(j: int) -> EquilibriumReport:
         checks = tuple(
-            GroupCheck(
-                k.budget, flat_violation=_flat_violation(agg, k.strategy.support)
-            )
-            for k in sol.groups[:count]
+            GroupCheck(g.budget, flat_violation=float(v))
+            for g, v in zip(groups[: j + 1], flat[: j + 1, j])
         )
-        report = EquilibriumReport(tol, checks, **_shape_checks(agg))
-        out.append(PrefixCheck(count=count, threshold=g.budget, report=report))
-    return out
+        return EquilibriumReport(
+            tol,
+            checks,
+            monotone_violation=float(monotone[j]),
+            cdf_at_zero=float(cdf_at_zero[j]),
+        )
+
+    return [
+        PrefixCheck(j + 1, g.budget, verdict, functools.partial(report, j))
+        for j, (g, verdict) in enumerate(zip(groups, (worst <= tol).tolist()))
+    ]

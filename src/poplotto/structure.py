@@ -223,12 +223,17 @@ class OutcomeMatrix:
 
 def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
     """Compute every pairwise contest."""
+    return OutcomeMatrix(_all_contests(_unit_strategies(sol)))
+
+
+def _all_contests(norms: Sequence[PiecewiseDensity]) -> np.ndarray:
+    """Every contest of the unit-mass strategies ``norms``, 0.5 on the diagonal."""
     import numpy as np
 
-    n = len(sol.groups)
+    n = len(norms)
     probs = np.full((n, n), 0.5)
-    _contests(probs, _unit_strategies(sol), np.column_stack(np.triu_indices(n, 1)))
-    return OutcomeMatrix(probs)
+    _contests(probs, norms, np.column_stack(np.triu_indices(n, 1)))
+    return probs
 
 
 def _unit_strategies(sol: EquilibriumSolution) -> list[PiecewiseDensity]:
@@ -591,6 +596,18 @@ def league_rewire(
     than two members, no overlapping supports, or no exchange that moves
     any outcome.  Deterministic for a given seed.
     """
+    return _rewire(sol, league_index, seed, tol, attempts)[0]
+
+
+def _rewire(
+    sol: EquilibriumSolution,
+    league_index: int,
+    seed: int = 0,
+    tol: float = EPS,
+    attempts: int = 64,
+) -> tuple[EquilibriumSolution, np.ndarray, list[PiecewiseDensity]]:
+    """``league_rewire``, with the solved outcome matrix and the solved unit
+    strategies it judged candidates against, for ``_replayed`` to reuse."""
     import numpy as np
 
     partition = leagues(sol, tol)
@@ -614,8 +631,8 @@ def league_rewire(
     if not pairs:
         raise ValueError("league members have no overlapping supports")
     rng = np.random.default_rng(seed)
-    before = outcome_matrix(sol).probs
     norms = _unit_strategies(sol)
+    before = _all_contests(norms)
 
     def judge(candidate: EquilibriumSolution) -> tuple[bool, bool]:
         """Whether ``candidate`` flips an edge, and whether it shifts any outcome."""
@@ -645,7 +662,7 @@ def league_rewire(
     for candidate in filter(None, trades()):
         flips, shifts = judge(candidate)
         if flips:
-            return candidate
+            return candidate, before, norms
         if fallback is None and shifts:
             fallback = candidate
 
@@ -718,11 +735,11 @@ def league_rewire(
         stale = 0
         value, current = best
         if (value - 0.5) * (before[ti, tj] - 0.5) < 0.0 and abs(value - 0.5) > tol:
-            return current
+            return current, before, norms
     if current is not sol and judge(current)[1]:
-        return current
+        return current, before, norms
     if fallback is not None:
-        return fallback
+        return fallback, before, norms
     raise ValueError("no slice exchange changed the outcome matrix")
 
 

@@ -6,9 +6,11 @@ Each grid function below rebuilds its own union grid and reads
 then, with its loop over the two snap candidates.  ``tests/test_refine.py``
 checks that the rewritten functions give exactly the same output.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
-before it kept one running mixture, and ``best_dyad_scan`` is the pair scan
-``best_dyad`` ran before it read the best dyad off the upper concave
-envelope; ``tests/test_equilibrium.py`` compares each with its rewrite.
+before it kept one running mixture, ``running_subpop_consistency`` the
+running mixture it kept before it read every prefix off one cumulative sum
+on a shared grid, and ``best_dyad_scan`` is the pair scan ``best_dyad`` ran
+before it read the best dyad off the upper concave envelope;
+``tests/test_equilibrium.py`` compares each with its rewrite.
 ``outcome_matrix`` plays every contest, and ``transitivity_report`` audits
 the whole matrix as one block, as the package did before it settled
 contests whose hulls do not meet and audited the blocks of the matrix one
@@ -24,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from poplotto import payoff
+from poplotto import density, payoff
 from poplotto.density import EPS, PiecewiseDensity
-from poplotto.equilibrium import EquilibriumReport, GroupCheck, PrefixCheck
+from poplotto.equilibrium import EquilibriumReport, GroupCheck
+from poplotto.equilibrium import _flat_violation, _shape_checks
 from poplotto.payoff import Dyad, dyad_payoff
 from poplotto.solver import EquilibriumSolution, SubPopulation
 from poplotto.structure import _NOTIONS, OutcomeMatrix, TransitivityReport
@@ -185,10 +188,10 @@ def support(dens: PiecewiseDensity) -> tuple[float, float] | None:
 
 def subpop_consistency(
     sol: EquilibriumSolution, tol: float
-) -> list[tuple[PrefixCheck, PiecewiseDensity]]:
+) -> list[tuple[EquilibriumReport, PiecewiseDensity]]:
     """Every prefix rescaled to unit mass, remixed, and put through the
-    staircase checks of ``verify_nash`` without its payoff sweep; each check
-    comes with the prefix aggregate it read."""
+    staircase checks of ``verify_nash`` without its payoff sweep; each
+    prefix's report comes with the prefix aggregate it read."""
     out = []
     for count in range(1, len(sol.groups) + 1):
         kept = sol.groups[:count]
@@ -219,7 +222,30 @@ def subpop_consistency(
             cdf_at_zero=agg.cdf(0.0).inclusive,
             mixture_gap=step_gap(blended, agg),
         )
-        out.append((PrefixCheck(count, kept[-1].budget, report), agg))
+        out.append((report, agg))
+    return out
+
+
+def running_subpop_consistency(
+    sol: EquilibriumSolution, tol: float
+) -> list[tuple[EquilibriumReport, PiecewiseDensity]]:
+    """One running mixture grown by one strategy per prefix and scaled to
+    unit mass, then the shape checks of ``verify_nash`` and each kept
+    group's flatness; each prefix's report comes with the aggregate it read."""
+    out = []
+    mixed = PiecewiseDensity((), ())
+    share = 0.0
+    for count, g in enumerate(sol.groups, start=1):
+        mixed = density.mixture([(1.0, mixed), (1.0, g.strategy)])
+        share += g.mass
+        agg = mixed.scaled(1.0 / share)
+        checks = tuple(
+            GroupCheck(
+                k.budget, flat_violation=_flat_violation(agg, k.strategy.support)
+            )
+            for k in sol.groups[:count]
+        )
+        out.append((EquilibriumReport(tol, checks, **_shape_checks(agg)), agg))
     return out
 
 

@@ -347,64 +347,170 @@ def test_subpop_consistency_rejects_mismatches(pair_dist, pair_sol, wide_sol):
         verify_subpop_consistency(pair_dist, shifted)
 
 
-def _assert_prefixes_match_oracle(dist, sol):
+def _assert_prefix_matches(new, count, g, old, agg):
+    """One prefix check against an oracle's report and the aggregate it read."""
+    assert (new.count, new.threshold) == (count, g.budget)
+    assert new.passed == old.passed
+    slack = 1e-12 * max(agg.heights, default=0.0)
+    a = new.report
+    assert a.passed == new.passed
+    assert a.mixture_gap is None
+    assert abs(a.monotone_violation - old.monotone_violation) <= slack
+    assert abs(a.cdf_at_zero - old.cdf_at_zero) <= slack
+    assert len(a.groups) == len(old.groups)
+    for x, y in zip(a.groups, old.groups):
+        assert x.budget == y.budget
+        assert x.payoff is None
+        assert abs(x.flat_violation - y.flat_violation) <= slack
+
+
+def _assert_prefixes_match_oracle(dist, sol, prefix_oracle):
     got = verify_subpop_consistency(dist, sol, 1e-9)
-    want = oracle.subpop_consistency(sol, 1e-9)
+    want = prefix_oracle(sol, 1e-9)
     assert len(got) == len(want)
-    for new, (old, agg) in zip(got, want):
-        assert (new.count, new.threshold) == (old.count, old.threshold)
-        assert new.passed == old.passed
-        slack = 1e-12 * max(agg.heights, default=0.0)
-        a, b = new.report, old.report
-        assert abs(a.monotone_violation - b.monotone_violation) <= slack
-        assert abs(a.cdf_at_zero - b.cdf_at_zero) <= slack
-        assert len(a.groups) == len(b.groups)
-        for x, y in zip(a.groups, b.groups):
-            assert x.budget == y.budget
-            assert abs(x.flat_violation - y.flat_violation) <= slack
+    for count, (new, g, (old, agg)) in enumerate(zip(got, sol.groups, want), 1):
+        _assert_prefix_matches(new, count, g, old, agg)
+
+
+def _solved_and_rewired(dist):
+    """The solution of ``dist`` and, when a league accepts one, a rewire."""
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    shared = [i for i, lg in enumerate(leagues(sol)) if len(lg.members) >= 2]
+    if shared:
+        try:
+            return sol, league_rewire(sol, shared[0], seed=0, attempts=8)
+        except ValueError:
+            pass  # the league declined every exchange
+    return sol, None
 
 
 @given(scaled_populations())
 @settings(deadline=None, max_examples=100)
 def test_subpop_consistency_matches_prefix_oracle(dist):
-    """The running mixture gives the verdicts of rescaling and remixing
-    every prefix, on solved populations and on one rewire of each."""
-    try:
-        sol = solve(dist)
-    except SolverError:
-        reject()
-    _assert_prefixes_match_oracle(dist, sol)
-    shared = [i for i, lg in enumerate(leagues(sol)) if len(lg.members) >= 2]
-    if shared:
-        try:
-            rewired = league_rewire(sol, shared[0], seed=0, attempts=8)
-        except ValueError:
-            return  # the league declined every exchange
-        _assert_prefixes_match_oracle(dist, rewired)
+    """The shared grid gives the verdicts of rescaling and remixing every
+    prefix, on solved populations and on one rewire of each."""
+    for sol in filter(None, _solved_and_rewired(dist)):
+        _assert_prefixes_match_oracle(dist, sol, oracle.subpop_consistency)
 
 
-def test_subpop_consistency_mixes_once_per_group(
+@given(scaled_populations())
+@settings(deadline=None, max_examples=100)
+def test_subpop_consistency_matches_running_mixture(dist):
+    """Every verdict and violation of the running-mixture loop, within
+    1e-12 of the largest prefix height, on solved and rewired populations.
+
+    A cell between EPS and 2 EPS wide reads its neighbours' heights, and
+    the running mixture sometimes merged such a cell away where a one-shot
+    mix keeps it (ROADMAP item 1; ``--hypothesis-seed=101`` shows one).  On
+    a prefix where the loop's verdict differs from the remix oracle's, the
+    remix oracle is the reference instead.
+    """
+    for sol in filter(None, _solved_and_rewired(dist)):
+        got = verify_subpop_consistency(dist, sol, 1e-9)
+        running = oracle.running_subpop_consistency(sol, 1e-9)
+        remixed = oracle.subpop_consistency(sol, 1e-9)
+        for count, (new, g, run, mix) in enumerate(
+            zip(got, sol.groups, running, remixed), 1
+        ):
+            old, agg = run if run[0].passed == mix[0].passed else mix
+            _assert_prefix_matches(new, count, g, old, agg)
+
+
+def _atom_solution() -> tuple[DiscreteBudgetDistribution, EquilibriumSolution]:
+    """Hand-built strategies with atoms: one at zero, one inside the first
+    group's hull, two within EPS of each other that pool, and one that
+    stretches the last hull past the end of every breakpoint."""
+    strategies = (
+        PiecewiseDensity((0.0, 1.0), (0.5,), ((0.0, 0.1),)),
+        PiecewiseDensity((0.0, 2.0), (0.4,), ((0.5, 0.2),)),
+        PiecewiseDensity((1.7, 2.0), (1.0,), ((1.5, 0.3),)),
+        PiecewiseDensity((2.0, 3.0), (0.5,), ((1.5 + 0.5 * EPS, 0.9), (4.0, 0.2))),
+    )
+    budgets = (0.5, 1.0, 1.5, 2.0)
+    dist = DiscreteBudgetDistribution(tuple((b, 1.0) for b in budgets))
+    groups = tuple(SubPopulation(b, 1.0, f) for b, f in zip(budgets, strategies))
+    return dist, EquilibriumSolution(groups, mixture([(1.0, f) for f in strategies]))
+
+
+@pytest.mark.parametrize(
+    "prefix_oracle", [oracle.running_subpop_consistency, oracle.subpop_consistency]
+)
+def test_subpop_consistency_reads_atoms_as_the_oracles_do(prefix_oracle):
+    dist, sol = _atom_solution()
+    _assert_prefixes_match_oracle(dist, sol, prefix_oracle)
+    checks = verify_subpop_consistency(dist, sol, 1e-9)
+    assert not any(check.passed for check in checks)
+    # on the whole population, of mass 4: the pooled pair, 0.3 + 0.9, is
+    # the largest interior atom and breaks the second group's hull; the
+    # atom at zero is cumulative mass there; the last hull reads the zero
+    # past x = 3 against the height 1.4 on [1.7, 2]
+    last = checks[-1].report
+    assert last.monotone_violation == pytest.approx(1.2 / 4.0, abs=1e-12)
+    assert last.groups[1].flat_violation == pytest.approx(1.2 / 4.0, abs=1e-12)
+    assert last.cdf_at_zero == pytest.approx(0.1 / 4.0, abs=1e-12)
+    assert last.groups[3].flat_violation == pytest.approx(1.4 / 4.0, abs=1e-12)
+
+
+def test_subpop_consistency_near_tie_rewire_matches_running_mixture(
+    near_tie_dist, near_tie_sol
+):
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+    _assert_prefixes_match_oracle(
+        near_tie_dist, rewired, oracle.running_subpop_consistency
+    )
+    checks = verify_subpop_consistency(near_tie_dist, rewired, 1e-9)
+    assert [check.passed for check in checks] == [True, False, True]
+
+
+def test_subpop_consistency_builds_reports_only_when_read(
+    monkeypatch, near_tie_dist, near_tie_sol
+):
+    """Verdicts and documents need no ``GroupCheck``; a prefix's report is
+    built on its first read, agrees with the verdict and is kept."""
+    data = json.loads((Path(__file__).parent / "data" / "flooding.json").read_text())
+    flooding_dist = DiscreteBudgetDistribution.from_dict(data)
+    flooding_sol = solve(flooding_dist)
+    built = []
+    group_check = equilibrium.GroupCheck
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return group_check(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "GroupCheck", counted)
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+    for dist, sol in ((near_tie_dist, rewired), (flooding_dist, flooding_sol)):
+        checks = verify_subpop_consistency(dist, sol, 1e-9)
+        verdicts = [check.passed for check in checks]
+        documents = [check.to_dict() for check in checks]
+        assert built == []
+        assert [doc["passed"] for doc in documents] == verdicts
+        for check in checks:
+            assert check.report.passed == check.passed
+            assert len(built) == check.count
+            assert check.report is check.report
+            built.clear()
+
+
+def test_subpop_consistency_never_mixes(
     monkeypatch, nine_dist, nine_sol, near_tie_dist, near_tie_sol
 ):
-    """One running mixture: at most n ``mixture`` calls on n groups, and no
-    prefix goes through ``verify_nash`` or ``step_gap``."""
+    """No ``mixture`` call on any number of groups, and no prefix goes
+    through ``verify_nash`` or ``step_gap``, reports read or not."""
     rewired = league_rewire(near_tie_sol, 0, seed=0)
-    calls = []
-
-    def counted(parts):
-        calls.append(len(parts))
-        return mixture(parts)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("prefix re-certification compared two mixtures")
+        raise AssertionError("prefix re-certification mixed or compared densities")
 
-    monkeypatch.setattr(equilibrium, "mixture", counted)
+    monkeypatch.setattr(equilibrium, "mixture", forbidden)
     monkeypatch.setattr(equilibrium, "verify_nash", forbidden)
     monkeypatch.setattr(equilibrium, "step_gap", forbidden)
     for dist, sol in ((nine_dist, nine_sol), (near_tie_dist, rewired)):
-        calls.clear()
-        verify_subpop_consistency(dist, sol, 1e-9)
-        assert len(calls) <= len(sol.groups)
+        for check in verify_subpop_consistency(dist, sol, 1e-9):
+            check.report.to_dict()
 
 
 def test_certificates_never_call_the_solver(

@@ -597,26 +597,35 @@ def test_replayed_contests_match_the_full_matrix(dist, data):
 
 
 def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
-    """One full matrix inside ``league_rewire`` and one for the document;
-    every candidate and the rewired document replay two groups' contests."""
-    calls = []
+    """The full matrix the rewire search judges against is the document's
+    ``matrix_before``, built once; every candidate and the rewired document
+    replay two groups' contests."""
+    n = 9
+    played = []
+    contests = structure._contests
 
-    def counted(sol):
-        calls.append(sol)
-        return outcome_matrix(sol)
+    def recorded(probs, norms, pairs):
+        pairs = list(pairs)
+        played.append(len(pairs))
+        contests(probs, norms, pairs)
 
-    monkeypatch.setattr(structure, "outcome_matrix", counted)
-    monkeypatch.setattr(cli, "outcome_matrix", counted)
+    def forbidden(sol):
+        raise AssertionError("a second full matrix was built")
+
+    monkeypatch.setattr(structure, "_contests", recorded)
+    monkeypatch.setattr(structure, "outcome_matrix", forbidden)
+    monkeypatch.setattr(cli, "outcome_matrix", forbidden)
     src = str(Path(__file__).parent / "data" / "nine_rows.json")
     assert cli.main(["rewire", src, "--league", "0", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 2
+    assert played.count(n * (n - 1) // 2) == 1
+    assert set(played) == {n * (n - 1) // 2, 2 * n - 3}
 
 
 def test_rewire_candidates_reuse_the_solved_unit_strategies(monkeypatch):
     """Each candidate normalises only its two changed strategies and replays
-    only their 2n - 3 contests; the solved strategies are normalised once
-    for the solved matrix and once for every replay to share."""
+    only their 2n - 3 contests; the solved strategies are normalised once,
+    for the solved matrix and every replay to share."""
     doc = json.loads((Path(__file__).parent / "data" / "flooding.json").read_text())
     sol = solve(DiscreteBudgetDistribution.from_dict(doc))
     n = len(sol.groups)
@@ -641,7 +650,7 @@ def test_rewire_candidates_reuse_the_solved_unit_strategies(monkeypatch):
     league_rewire(sol, 4, seed=0)  # a warm-start flip, several candidates
     assert played[0] == n * (n - 1) // 2
     assert len(played) > 2 and set(played[1:]) == {2 * n - 3}
-    assert sum(normalized) == 2 * n
+    assert sum(normalized) == n
 
 
 def test_rewire_rejects_unusable_leagues(wide_sol):
