@@ -192,9 +192,9 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
 
     dist = _load_distribution(args.input)
     sol = solve(dist)
-    rewired, before, norms = _rewire(sol, args.league, seed=args.seed, tol=args.tol)
+    rewired, before = _rewire(sol, args.league, seed=args.seed, tol=args.tol)
     nash = verify_nash(rewired, args.tol)
-    after = _replayed(before, norms, sol, rewired)
+    after = _replayed(before, sol, rewired)
     # row-major like the matrix; the diagonal reads 0.5, so it never flips
     flips = np.argwhere((before - 0.5) * (after - 0.5) < 0.0).tolist()
     if args.format == "csv":

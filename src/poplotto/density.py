@@ -10,12 +10,14 @@ Construction canonicalizes the representation: breakpoints closer than
 ``EPS`` are merged, the resulting zero-width segments are dropped,
 zero-height edge segments are trimmed, adjacent segments of identical
 height are coalesced, and coincident atoms are pooled.  Instances are
-immutable and safe to share across threads.
+immutable and safe to share across threads; the unit-mass copy that
+``normalized`` keeps is equal whichever thread builds it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -275,6 +277,11 @@ class PiecewiseDensity:
         )
 
     def normalized(self) -> "PiecewiseDensity":
+        """This density at unit mass, built on the first call and kept."""
+        return self._unit
+
+    @functools.cached_property
+    def _unit(self) -> "PiecewiseDensity":
         mass = self.total_mass
         if mass <= EPS:
             raise ValueError("cannot normalize a zero-mass density")
@@ -322,7 +329,7 @@ class PiecewiseDensity:
             atoms = tuple(
                 (float(a[0]), float(a[1])) for a in data.get("atoms", ())
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed density record: {exc}") from exc
         return cls(bp, hs, atoms)
 
@@ -331,15 +338,14 @@ def refine(
     points: Iterable[float],
     densities: Sequence[PiecewiseDensity],
     merge: bool = True,
-    within: PiecewiseDensity | None = None,
 ) -> tuple[list[float], list[list[float]]]:
     """Common refinement of step densities: cells cut at ``points``.
 
     Sorts the points; ``merge`` drops each within ``EPS`` of the last kept,
     so the cells are ``zip(edges, edges[1:])``, else cells narrower than
     ``EPS`` are skipped.  Returns the edges and each density's ``height_at``
-    at every cell midpoint, zero beyond ``EPS`` outside the breakpoints of
-    ``within`` when given.
+    at every cell midpoint, read only at the midpoints that pass its range
+    test and written as the 0.0 it returns everywhere else.
     """
     edges = sorted(points)
     if merge:
@@ -349,14 +355,13 @@ def refine(
                 kept.append(x)
         edges = kept
     mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:]) if hi - lo >= EPS]
-    if within is None:
-        return edges, [list(map(dens.height_at, mids)) for dens in densities]
-    bp = within.breakpoints
-    start = bisect.bisect_left(mids, bp[0] - EPS) if bp else 0
-    stop = bisect.bisect_right(mids, bp[-1] + EPS) if bp else 0
     rows = [[0.0] * len(mids) for _ in densities]
     for row, dens in zip(rows, densities):
-        row[start:stop] = map(dens.height_at, mids[start:stop])
+        bp = dens.breakpoints
+        if bp:
+            start = bisect.bisect_left(mids, bp[0] - EPS)
+            stop = bisect.bisect_right(mids, bp[-1] + EPS)
+            row[start:stop] = map(dens.height_at, mids[start:stop])
     return edges, rows
 
 

@@ -78,13 +78,14 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     pts = [*f.breakpoints, *h.breakpoints]
     for loc, _ in f.atoms + h.atoms:
         pts.append(loc)
-    edges, (f_heights, h_heights) = refine(pts, (f, h), within=f)
+    edges, (f_heights,) = refine(pts, (f,))
     total = 0.0
-    for lo, hi, f_height, h_height in zip(edges, edges[1:], f_heights, h_heights):
+    for lo, hi, f_height in zip(edges, edges[1:], f_heights):
         if f_height <= 0.0:
             continue
         start = h.cdf(lo)
         width = hi - lo
+        h_height = h.height_at(0.5 * (lo + hi))
         total += f_height * (
             start.inclusive * width + 0.5 * h_height * width * width
         )

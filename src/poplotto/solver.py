@@ -111,7 +111,7 @@ class DiscreteBudgetDistribution:
                 (float(row["budget"]), float(row["mass"]))
                 for row in data["subpopulations"]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed subpopulation record: {exc}") from exc
         return cls(rows)
 
@@ -205,7 +205,7 @@ class EquilibriumSolution:
                 )
                 for row, strat in zip(rows, strategies)
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed solution record: {exc}") from exc
         return cls(groups, aggregate)
 

@@ -223,27 +223,22 @@ class OutcomeMatrix:
 
 def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
     """Compute every pairwise contest."""
-    return OutcomeMatrix(_all_contests(_unit_strategies(sol)))
+    return OutcomeMatrix(_all_contests(sol))
 
 
-def _all_contests(norms: Sequence[PiecewiseDensity]) -> np.ndarray:
-    """Every contest of the unit-mass strategies ``norms``, 0.5 on the diagonal."""
+def _all_contests(sol: EquilibriumSolution) -> np.ndarray:
+    """Every contest of ``sol``'s groups, 0.5 on the diagonal."""
     import numpy as np
 
-    n = len(norms)
+    n = len(sol.groups)
     probs = np.full((n, n), 0.5)
-    _contests(probs, norms, np.column_stack(np.triu_indices(n, 1)))
+    _contests(probs, sol, np.column_stack(np.triu_indices(n, 1)))
     return probs
-
-
-def _unit_strategies(sol: EquilibriumSolution) -> list[PiecewiseDensity]:
-    """Every group's strategy scaled to unit mass, as contests read it."""
-    return [g.strategy.normalized() for g in sol.groups]
 
 
 def _contests(
     probs: np.ndarray,
-    norms: Sequence[PiecewiseDensity],
+    sol: EquilibriumSolution,
     pairs: np.ndarray | Sequence[tuple[int, int]],
 ) -> None:
     """Play each pair ``i < j`` of unit-mass strategies into ``probs[i, j]``.
@@ -252,8 +247,8 @@ def _contests(
     matrix exactly consistent.  A pair whose hulls satisfy
     ``hi_i + EPS < lo_j - EPS``, each side rounded as computed, is settled
     as 0.0 without a contest, because ``win_prob(f_i, f_j)`` is exactly 0.0:
-    ``refine(..., within=f_i)`` gives f_i a height only at cell midpoints up
-    to ``hi_i + EPS``, in cells that start at one of f_i's points; there
+    ``refine`` reads f_i only at cell midpoints up to ``hi_i + EPS``, so f_i
+    has a height only in cells that start at one of f_i's points; there
     ``f_j.cdf(lo)`` and ``f_j.height_at(mid)`` read 0.0, as
     ``f_j.cdf(loc).midpoint`` does at every atom of f_i, so each term is a
     finite height or mass times 0.0.  A pair with j below i still plays:
@@ -261,36 +256,30 @@ def _contests(
     """
     import numpy as np
 
+    units = [g.strategy.normalized() for g in sol.groups]
     # (m, 2) and (n, 2) even when there are no pairs or no groups
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    hulls = np.array([d.support for d in norms], dtype=float).reshape(-1, 2)
+    hulls = np.array([d.support for d in units], dtype=float).reshape(-1, 2)
     i, j = pairs.T
     settled = hulls[i, 1] + EPS < hulls[j, 0] - EPS
     probs[i[settled], j[settled]] = 0.0
     probs[j[settled], i[settled]] = 1.0
     for i, j in pairs[~settled].tolist():
-        p = win_prob(norms[i], norms[j])
+        p = win_prob(units[i], units[j])
         probs[i, j] = p
         probs[j, i] = 1.0 - p
 
 
 def _replayed(
-    probs: np.ndarray,
-    norms: Sequence[PiecewiseDensity],
-    sol: EquilibriumSolution,
-    changed: EquilibriumSolution,
+    probs: np.ndarray, sol: EquilibriumSolution, changed: EquilibriumSolution
 ) -> np.ndarray:
-    """``outcome_matrix(changed).probs`` from ``probs`` and ``norms`` of ``sol``,
-    playing only the contests of groups whose ``SubPopulation`` is not ``sol``'s."""
-    norms = list(norms)
+    """``outcome_matrix(changed).probs`` from ``probs`` of ``sol``, playing
+    only the contests of groups whose ``SubPopulation`` is not ``sol``'s."""
+    n = len(changed.groups)
     moved = [k for k, g in enumerate(changed.groups) if g is not sol.groups[k]]
-    for k in moved:
-        norms[k] = changed.groups[k].strategy.normalized()
-    pairs = sorted(
-        {(min(k, m), max(k, m)) for k in moved for m in range(len(norms)) if m != k}
-    )
+    pairs = sorted({(min(k, m), max(k, m)) for k in moved for m in range(n) if m != k})
     after = probs.copy()
-    _contests(after, norms, pairs)
+    _contests(after, changed, pairs)
     return after
 
 
@@ -448,7 +437,11 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     groups = []
     for die in dice:
         for v in die:
-            if not (isinstance(v, numbers.Real) and v >= 1 and float(v).is_integer()):
+            try:
+                whole = isinstance(v, numbers.Real) and v >= 1 and float(v).is_integer()
+            except OverflowError:
+                raise ValueError("face values must fit in a float") from None
+            if not whole:
                 raise ValueError(f"face values must be integers >= 1, got {v!r}")
         strategy = mixture(
             [
@@ -605,9 +598,9 @@ def _rewire(
     seed: int = 0,
     tol: float = EPS,
     attempts: int = 64,
-) -> tuple[EquilibriumSolution, np.ndarray, list[PiecewiseDensity]]:
-    """``league_rewire``, with the solved outcome matrix and the solved unit
-    strategies it judged candidates against, for ``_replayed`` to reuse."""
+) -> tuple[EquilibriumSolution, np.ndarray]:
+    """``league_rewire``, with the solved outcome matrix it judged
+    candidates against, for ``_replayed`` to reuse."""
     import numpy as np
 
     partition = leagues(sol, tol)
@@ -631,12 +624,11 @@ def _rewire(
     if not pairs:
         raise ValueError("league members have no overlapping supports")
     rng = np.random.default_rng(seed)
-    norms = _unit_strategies(sol)
-    before = _all_contests(norms)
+    before = _all_contests(sol)
 
     def judge(candidate: EquilibriumSolution) -> tuple[bool, bool]:
         """Whether ``candidate`` flips an edge, and whether it shifts any outcome."""
-        after = _replayed(before, norms, sol, candidate)
+        after = _replayed(before, sol, candidate)
         flips = ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
         return bool(np.any(flips)), bool(np.max(np.abs(after - before)) > tol)
 
@@ -662,7 +654,7 @@ def _rewire(
     for candidate in filter(None, trades()):
         flips, shifts = judge(candidate)
         if flips:
-            return candidate, before, norms
+            return candidate, before
         if fallback is None and shifts:
             fallback = candidate
 
@@ -735,11 +727,11 @@ def _rewire(
         stale = 0
         value, current = best
         if (value - 0.5) * (before[ti, tj] - 0.5) < 0.0 and abs(value - 0.5) > tol:
-            return current, before, norms
+            return current, before
     if current is not sol and judge(current)[1]:
-        return current, before, norms
+        return current, before
     if fallback is not None:
-        return fallback, before, norms
+        return fallback, before
     raise ValueError("no slice exchange changed the outcome matrix")
 
 

@@ -288,6 +288,41 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert "malformed solution record" in proc.stderr
 
 
+def test_integers_too_large_for_a_float_exit_one(tmp_path, capsys):
+    """JSON integers have no size limit; one past the float range is invalid
+    input to every command that reads it, whichever field holds it."""
+    huge = 10**400
+
+    def refused(argv, name):
+        assert main(argv) == 1, name
+        assert capsys.readouterr().err.startswith("error:"), name
+
+    for field in ("budget", "mass"):
+        doc = json.loads(json.dumps(PAIR))
+        doc["subpopulations"][0][field] = huge
+        src = write_json(tmp_path, f"{field}.json", doc)
+        for command in ("solve", "analyze", "rewire", "export"):
+            refused([command, src], f"{command} {field}")
+    solution = tmp_path / "solution.json"
+    assert main(["solve", str(DATA / "pair.json"), "--out", str(solution)]) == 0
+    capsys.readouterr()
+    good = json.loads(solution.read_text())
+    spoils = {
+        "budget": lambda d: d["subpopulations"][0].update(budget=huge),
+        "mass": lambda d: d["subpopulations"][1].update(mass=huge),
+        "breakpoint": lambda d: d["strategies"][0]["breakpoints"].append(huge),
+        "height": lambda d: d["strategies"][1]["heights"].__setitem__(0, huge),
+        "atom": lambda d: d["strategies"][0]["atoms"].append([huge, 0.5]),
+        "aggregate": lambda d: d["aggregate"]["breakpoints"].__setitem__(0, huge),
+    }
+    for name, spoil in spoils.items():
+        doc = json.loads(json.dumps(good))
+        spoil(doc)
+        refused(["verify", write_json(tmp_path, f"{name}.json", doc)], f"verify {name}")
+    dice = write_json(tmp_path, "dice.json", {"dice": [[1, 2], [3, huge]]})
+    refused(["dice", dice], "dice face")
+
+
 def test_invalid_arguments_exit_one(tmp_path, capsys):
     src = write_json(tmp_path, "pair.json", PAIR)
     assert main(["verify", src, "--format", "csv"]) == 1

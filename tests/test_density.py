@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplotto import EPS, PiecewiseDensity, mixture, step_gap
+from poplotto import (
+    EPS,
+    DiscreteBudgetDistribution,
+    PiecewiseDensity,
+    cli,
+    mixture,
+    solve,
+    step_gap,
+    verify_subpop_consistency,
+    win_prob,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_uniform_block_mass_and_mean():
@@ -143,6 +157,52 @@ def test_scaled_and_normalized():
     assert unit.total_mass == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         d.scaled(-1.0)
+
+
+def test_each_strategy_is_scaled_to_unit_mass_once(monkeypatch, capsys):
+    """``analyze`` reads every solved strategy at unit mass in the outcome
+    matrix and in two certificates, and scales each one once."""
+    scalings = []
+    original = PiecewiseDensity.scaled
+
+    def counted(self, factor):
+        scalings.append(factor)
+        return original(self, factor)
+
+    monkeypatch.setattr(PiecewiseDensity, "scaled", counted)
+    assert cli.main(["analyze", str(DATA / "flooding.json")]) == 0
+    capsys.readouterr()
+    assert len(scalings) == 100
+    d = PiecewiseDensity((0.0, 4.0), (0.125,), ((1.0, 0.5),))
+    assert d.normalized() is d.normalized()
+    assert len(scalings) == 101
+
+
+def test_densities_are_read_only_on_their_support(monkeypatch):
+    """The prefix certificates, a mixture of every strategy and each
+    strategy's contest against the aggregate call ``height_at`` only where
+    its range test passes, within ``EPS`` of the breakpoints."""
+    dist = DiscreteBudgetDistribution.from_dict(
+        json.loads((DATA / "staircase.json").read_text())
+    )
+    sol = solve(dist)
+    strategies = [g.strategy for g in sol.groups]
+    units = [s.normalized() for s in strategies]
+    reads = []
+    original = PiecewiseDensity.height_at
+
+    def recorded(self, x):
+        reads.append((self.breakpoints, x))
+        return original(self, x)
+
+    monkeypatch.setattr(PiecewiseDensity, "height_at", recorded)
+    verify_subpop_consistency(dist, sol)
+    mixture([(1.0, s) for s in strategies])
+    for f in units:
+        win_prob(f, sol.aggregate)
+    assert reads
+    for bp, x in reads:
+        assert bp and bp[0] - EPS <= x <= bp[-1] + EPS
 
 
 def test_mixture_is_linear_in_mass_and_moment():

@@ -34,7 +34,6 @@ from poplotto.structure import (
     TransitivityReport,
     _replayed,
     _slice_swap,
-    _unit_strategies,
     dice_to_population,
     export_digraph,
     league_rewire,
@@ -591,8 +590,7 @@ def test_replayed_contests_match_the_full_matrix(dist, data):
     candidate = _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
     if candidate is None:
         return
-    norms = _unit_strategies(sol)
-    replayed = _replayed(outcome_matrix(sol).probs, norms, sol, candidate)
+    replayed = _replayed(outcome_matrix(sol).probs, sol, candidate)
     assert np.array_equal(replayed, outcome_matrix(candidate).probs)
 
 
@@ -604,10 +602,10 @@ def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
     played = []
     contests = structure._contests
 
-    def recorded(probs, norms, pairs):
+    def recorded(probs, sol, pairs):
         pairs = list(pairs)
         played.append(len(pairs))
-        contests(probs, norms, pairs)
+        contests(probs, sol, pairs)
 
     def forbidden(sol):
         raise AssertionError("a second full matrix was built")
@@ -623,29 +621,29 @@ def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
 
 
 def test_rewire_candidates_reuse_the_solved_unit_strategies(monkeypatch):
-    """Each candidate normalises only its two changed strategies and replays
-    only their 2n - 3 contests; the solved strategies are normalised once,
-    for the solved matrix and every replay to share."""
+    """Each candidate replays only the 2n - 3 contests of its two changed
+    strategies; the solved strategies are scaled to unit mass once, for the
+    solved matrix and every replay to share."""
     doc = json.loads((Path(__file__).parent / "data" / "flooding.json").read_text())
     sol = solve(DiscreteBudgetDistribution.from_dict(doc))
     n = len(sol.groups)
     solved = {id(g.strategy) for g in sol.groups}
     normalized = []
-    original = PiecewiseDensity.normalized
+    original = PiecewiseDensity.scaled
 
-    def counted(self):
+    def counted(self, factor):
         normalized.append(id(self) in solved)
-        return original(self)
+        return original(self, factor)
 
     played = []
     contests = structure._contests
 
-    def recorded(probs, norms, pairs):
+    def recorded(probs, sol, pairs):
         pairs = list(pairs)
         played.append(len(pairs))
-        contests(probs, norms, pairs)
+        contests(probs, sol, pairs)
 
-    monkeypatch.setattr(PiecewiseDensity, "normalized", counted)
+    monkeypatch.setattr(PiecewiseDensity, "scaled", counted)
     monkeypatch.setattr(structure, "_contests", recorded)
     league_rewire(sol, 4, seed=0)  # a warm-start flip, several candidates
     assert played[0] == n * (n - 1) // 2
