@@ -3,9 +3,11 @@
 Every command reads JSON, writes one machine-readable document, and prints
 a short human summary.  The machine document goes to ``--out`` when given,
 otherwise to standard output; the summary then moves to standard error so
-pipes stay clean.  Outputs are deterministic for a fixed input and seed,
-byte for byte.  Each subcommand declares only the options its handler
-reads, so an option a command would ignore is a usage error.
+pipes stay clean.  Outputs are deterministic for a fixed input, byte for
+byte.  Each subcommand declares only the options its handler reads, so an
+option a command would ignore is a usage error; ``rewire --seed`` is the
+one exception, accepted and without effect, since the search draws
+nothing at random.
 
 Exit codes: 0 success, 1 invalid input or arguments or output that
 cannot be written (an unwritable ``--out``, a closed standard output),
@@ -25,7 +27,6 @@ from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consis
 from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError, solve
 from .structure import (
     LeaguePartition,
-    _replayed,
     _rewire,
     dice_to_population,
     export_digraph,
@@ -192,9 +193,8 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
 
     dist = _load_distribution(args.input)
     sol = solve(dist)
-    rewired, before = _rewire(sol, args.league, seed=args.seed, tol=args.tol)
+    rewired, before, after = _rewire(sol, args.league, args.tol)
     nash = verify_nash(rewired, args.tol)
-    after = _replayed(before, sol, rewired)
     # row-major like the matrix; the diagonal reads 0.5, so it never flips
     flips = np.argwhere((before - 0.5) * (after - 0.5) < 0.0).tolist()
     if args.format == "csv":
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="JSON budget distribution")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--league", type=int, default=0, help="league index to rewire")
-    p.add_argument("--seed", type=int, default=0, help="search seed")
+    p.add_argument("--seed", type=int, default=0, help="no effect")
     p.set_defaults(run=_cmd_rewire)
 
     p = sub.add_parser(

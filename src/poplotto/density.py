@@ -65,6 +65,8 @@ def _clean_segments(
     for left, right in zip(bp, bp[1:]):
         if right < left - EPS:
             raise ValueError("breakpoints must be increasing")
+    if bp[0] < -EPS:
+        raise ValueError("breakpoints must be non-negative")
     for h in hs:
         if h < -EPS:
             raise ValueError("heights must be non-negative")

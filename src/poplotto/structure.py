@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
 from .density import EPS, PiecewiseDensity, mixture, refine
@@ -545,12 +545,13 @@ def _slice_swap(
     The giver sheds height ``s`` on the two outer slices and absorbs
     ``2s`` on the middle one; the taker does the opposite.  Equal spacing
     makes the exchange conserve both mass and mean for both groups, and
-    the two deltas cancel so the aggregate is untouched.
+    the two deltas cancel so the aggregate is untouched.  A slice whose
+    left edge rounds below zero starts at zero, so no strategy gains a
+    negative breakpoint.
     """
     cells = [
-        (center - spacing - 0.5 * width, center - spacing + 0.5 * width),
-        (center - 0.5 * width, center + 0.5 * width),
-        (center + spacing - 0.5 * width, center + spacing + 0.5 * width),
+        (max(mid - 0.5 * width, 0.0), mid + 0.5 * width)
+        for mid in (center - spacing, center, center + spacing)
     ]
     f_give = sol.groups[giver].strategy
     f_take = sol.groups[taker].strategy
@@ -578,7 +579,6 @@ def league_rewire(
     league_index: int,
     seed: int = 0,
     tol: float = EPS,
-    attempts: int = 64,
 ) -> EquilibriumSolution:
     """Reshape outcomes inside one league without touching the aggregate.
 
@@ -587,20 +587,17 @@ def league_rewire(
     preferring any move that flips an edge direction outright over one
     that merely shifts probabilities.  Raises if the league has fewer
     than two members, no overlapping supports, or no exchange that moves
-    any outcome.  Deterministic for a given seed.
+    any outcome.  The search draws nothing at random, so the output is
+    deterministic for a fixed input and ``seed`` has no effect.
     """
-    return _rewire(sol, league_index, seed, tol, attempts)[0]
+    return _rewire(sol, league_index, tol)[0]
 
 
 def _rewire(
-    sol: EquilibriumSolution,
-    league_index: int,
-    seed: int = 0,
-    tol: float = EPS,
-    attempts: int = 64,
-) -> tuple[EquilibriumSolution, np.ndarray]:
+    sol: EquilibriumSolution, league_index: int, tol: float = EPS
+) -> tuple[EquilibriumSolution, np.ndarray, np.ndarray]:
     """``league_rewire``, with the solved outcome matrix it judged
-    candidates against, for ``_replayed`` to reuse."""
+    candidates against and the rewired one."""
     import numpy as np
 
     partition = leagues(sol, tol)
@@ -623,14 +620,14 @@ def _rewire(
             pairs.append((a, b, lo, hi))
     if not pairs:
         raise ValueError("league members have no overlapping supports")
-    rng = np.random.default_rng(seed)
     before = _all_contests(sol)
 
-    def judge(candidate: EquilibriumSolution) -> tuple[bool, bool]:
-        """Whether ``candidate`` flips an edge, and whether it shifts any outcome."""
+    def judge(candidate: EquilibriumSolution) -> tuple[np.ndarray, bool, bool]:
+        """``candidate``'s matrix, whether it flips an edge, and whether it
+        shifts any outcome."""
         after = _replayed(before, sol, candidate)
         flips = ((before - 0.5) * (after - 0.5) < 0.0) & (np.abs(after - 0.5) > tol)
-        return bool(np.any(flips)), bool(np.max(np.abs(after - before)) > tol)
+        return after, bool(np.any(flips)), bool(np.max(np.abs(after - before)) > tol)
 
     def trades():
         # Equal-budget members can trade entire strategies: the aggregate
@@ -650,88 +647,74 @@ def _rewire(
             giver, taker = (a, b) if trial < len(pairs) else (b, a)
             yield _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
 
-    fallback: EquilibriumSolution | None = None
+    fallback: tuple[EquilibriumSolution, np.ndarray] | None = None
     for candidate in filter(None, trades()):
-        flips, shifts = judge(candidate)
+        after, flips, shifts = judge(candidate)
         if flips:
-            return candidate, before
+            return candidate, before, after
         if fallback is None and shifts:
-            fallback = candidate
-
-    def random_slices(
-        current: EquilibriumSolution, giver: int, taker: int
-    ) -> EquilibriumSolution | None:
-        # the middle slice sits in a taker run, an outer one in a giver
-        # run, so gapped supports (dice) stay reachable
-        take_runs, give_runs = (
-            [
-                r
-                for r in current.groups[k].strategy.support_runs()
-                if r[1] - r[0] > 100.0 * EPS
-            ]
-            for k in (taker, giver)
-        )
-        if not take_runs or not give_runs:
-            return None
-        t_lo, t_hi = take_runs[int(rng.integers(len(take_runs)))]
-        center = t_lo + rng.random() * (t_hi - t_lo)
-        g_lo, g_hi = give_runs[int(rng.integers(len(give_runs)))]
-        anchor = g_lo + rng.random() * (g_hi - g_lo)
-        spacing = abs(anchor - center)
-        width_cap = min(
-            2.0 * (t_hi - center),
-            2.0 * (center - t_lo),
-            spacing,
-            2.0 * (center - spacing - span_lo),
-            2.0 * (span_hi - center - spacing),
-        )
-        if spacing <= 100.0 * EPS or width_cap <= 100.0 * EPS:
-            return None
-        width = width_cap * (0.4 + 0.6 * rng.random())
-        return _slice_swap(current, giver, taker, center, spacing, width)
+            fallback = candidate, after
 
     # Greedy composition: single exchanges are bounded by slice headroom,
-    # so chain several, each chosen to push the tightest pair across the
-    # coin-flip line.  Every step preserves the invariants, hence so does
-    # the composite.
+    # so chain up to eight, each the grid exchange that pushes the
+    # tightest pair furthest towards the coin-flip line.  Every step
+    # preserves the invariants, hence so does the composite.
     ti, tj = min(
-        ((i, j) for i, j in combinations(members, 2)),
-        key=lambda p: abs(before[p[0], p[1]] - 0.5),
+        combinations(members, 2), key=lambda p: abs(before[p[0], p[1]] - 0.5)
     )
     direction = 1.0 if before[ti, tj] < 0.5 else -1.0
+    fractions = [k / 7.0 for k in range(1, 7)]
+
+    def exchanges(current: EquilibriumSolution):
+        # the middle slice sits in a taker run, an outer one in a giver
+        # run, so gapped supports (dice) stay reachable; the centre and
+        # the anchor of the outer slices sit at fixed fractions of the runs
+        for giver, taker in ((ti, tj), (tj, ti)):
+            take_runs, give_runs = (
+                [
+                    r
+                    for r in current.groups[k].strategy.support_runs()
+                    if r[1] - r[0] > 100.0 * EPS
+                ]
+                for k in (taker, giver)
+            )
+            for (t_lo, t_hi), (g_lo, g_hi) in product(take_runs, give_runs):
+                for a, b in product(fractions, fractions):
+                    center = t_lo + a * (t_hi - t_lo)
+                    spacing = abs(g_lo + b * (g_hi - g_lo) - center)
+                    width = min(
+                        2.0 * (t_hi - center),
+                        2.0 * (center - t_lo),
+                        spacing,
+                        2.0 * (center - spacing - span_lo),
+                        2.0 * (span_hi - center - spacing),
+                    )
+                    if spacing > 100.0 * EPS and width > 100.0 * EPS:
+                        yield _slice_swap(current, giver, taker, center, spacing, width)
+
     current = sol
     value = before[ti, tj]
-    stale = 0
-    for _ in range(attempts):
-        best: tuple[float, EquilibriumSolution] | None = None
-        found = 0
-        for _ in range(96):
-            giver, taker = (ti, tj) if rng.random() < 0.5 else (tj, ti)
-            candidate = random_slices(current, giver, taker)
-            if candidate is None:
-                continue
-            found += 1
+    for _ in range(8):
+        best = None
+        gain = 1e-13
+        for candidate in filter(None, exchanges(current)):
             moved = win_prob(
                 candidate.groups[ti].strategy.normalized(),
                 candidate.groups[tj].strategy.normalized(),
             )
-            if best is None or (moved - value) * direction > (best[0] - value) * direction:
-                best = (moved, candidate)
-            if found >= 16:
-                break
-        if best is None or (best[0] - value) * direction <= 1e-13:
-            stale += 1
-            if stale >= 3:
-                break
-            continue
-        stale = 0
+            if (moved - value) * direction > gain:
+                best, gain = (moved, candidate), (moved - value) * direction
+        if best is None:
+            break
         value, current = best
         if (value - 0.5) * (before[ti, tj] - 0.5) < 0.0 and abs(value - 0.5) > tol:
-            return current, before
-    if current is not sol and judge(current)[1]:
-        return current, before
+            return current, before, _replayed(before, sol, current)
+    if current is not sol:
+        after, _, shifts = judge(current)
+        if shifts:
+            return current, before, after
     if fallback is not None:
-        return fallback, before
+        return fallback[0], before, fallback[1]
     raise ValueError("no slice exchange changed the outcome matrix")
 
 

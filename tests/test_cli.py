@@ -122,6 +122,20 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("name, league", [("near_tie", "0"), ("flooding", "6")])
+def test_rewire_seed_has_no_effect(name, league, tmp_path, capsys):
+    """The search draws nothing at random; flooding league 6 ends in a
+    chain of grid exchanges, not in a trade or a warm start."""
+    runs = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"{seed}.json"
+        argv = ["rewire", str(DATA / f"{name}.json"), "--league", league]
+        assert main([*argv, "--seed", seed, "--out", str(out)]) == 0
+        capsys.readouterr()
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
 def test_rewire_reports_flips_and_broken_prefix(tmp_path, capsys):
     src = write_json(tmp_path, "near_tie.json", NEAR_TIE)
     assert main(["rewire", src]) == 0
@@ -321,6 +335,18 @@ def test_integers_too_large_for_a_float_exit_one(tmp_path, capsys):
         refused(["verify", write_json(tmp_path, f"{name}.json", doc)], f"verify {name}")
     dice = write_json(tmp_path, "dice.json", {"dice": [[1, 2], [3, huge]]})
     refused(["dice", dice], "dice face")
+
+
+def test_verify_refuses_a_negative_breakpoint(tmp_path, capsys):
+    """A strategy on [-1, 2] is invalid input, as a negative atom is, not a
+    solution that fails certification."""
+    solution = tmp_path / "solution.json"
+    assert main(["solve", str(DATA / "pair.json"), "--out", str(solution)]) == 0
+    capsys.readouterr()
+    doc = json.loads(solution.read_text())
+    doc["strategies"][0] = {"breakpoints": [-1.0, 2.0], "heights": [0.5], "atoms": []}
+    assert main(["verify", write_json(tmp_path, "negative.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invalid_arguments_exit_one(tmp_path, capsys):

@@ -381,7 +381,7 @@ def _solved_and_rewired(dist):
     shared = [i for i, lg in enumerate(leagues(sol)) if len(lg.members) >= 2]
     if shared:
         try:
-            return sol, league_rewire(sol, shared[0], seed=0, attempts=8)
+            return sol, league_rewire(sol, shared[0], seed=0)
         except ValueError:
             pass  # the league declined every exchange
     return sol, None

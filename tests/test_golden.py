@@ -6,10 +6,10 @@
 which carry prefix verdicts, and of one ``rewire --format csv`` document.
 The csv and dot keys carry the format after the command, and the rewire
 keys of a league other than 0 carry ``league-k``.  The four rewires end in
-each way the search can return: a greedy flip (near_tie league 0), the
-fallback (nine_rows league 0), a warm-start flip (flooding league 4) and a
-greedy move (flooding league 6).  A change that moves any of them changes
-what users get for a fixed input, so it must be deliberate.  Every key in
+four different ways: a grid flip (near_tie league 0), the fallback
+(nine_rows league 0), a warm-start flip (flooding league 4) and a grid
+move (flooding league 6).  A change that moves any of them changes what
+users get for a fixed input, so it must be deliberate.  Every key in
 the file must name a document that ``documents`` lists, so a dropped
 document cannot leave its hash behind unchecked.  Print the current hashes
 with ``PYTHONPATH=src python tests/test_golden.py``.

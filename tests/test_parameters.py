@@ -14,6 +14,8 @@ _HARNESS = "the benchmark harness, perfbench/session.py, passes TOL positionally
 UNREAD_ALLOWED = {
     "equilibrium.worst_deviation.tol": _HARNESS,
     "equilibrium.payoff_identity_check.tol": _HARNESS,
+    "structure.league_rewire.seed": "the benchmark harness, perfbench/session.py,"
+    " passes REWIRE_SEED positionally",
 }
 
 

@@ -541,7 +541,7 @@ def test_rewire_dice_reverses_the_cycle(dice_pop):
     remix = mixture([(1.0, g.strategy) for g in rewired.groups])
     assert step_gap(remix, dice_pop.aggregate) <= 1e-12
     assert verify_nash(rewired, tol=1e-9).passed
-    # the trade is found before any random draw, so the seed is irrelevant
+    # the search draws nothing at random, so the seed has no effect
     other = league_rewire(dice_pop, 0, seed=99)
     assert np.array_equal(outcome_matrix(other).probs, after)
 
@@ -649,6 +649,25 @@ def test_rewire_candidates_reuse_the_solved_unit_strategies(monkeypatch):
     assert played[0] == n * (n - 1) // 2
     assert len(played) > 2 and set(played[1:]) == {2 * n - 3}
     assert sum(normalized) == n
+
+
+@pytest.mark.parametrize(
+    "name, league",
+    [
+        ("near_tie", 0),
+        ("nine_rows", 0),
+        ("staircase", 0),
+        ("flooding", 4),
+        ("flooding", 6),
+    ],
+)
+def test_rewired_strategies_start_at_zero_or_above(name, league):
+    """A slice whose left edge rounds below zero is cut at zero: nine_rows
+    and staircase league 0 wrote a breakpoint of -5.55e-17 without it."""
+    doc = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    rewired = league_rewire(solve(DiscreteBudgetDistribution.from_dict(doc)), league)
+    for g in rewired.groups:
+        assert all(x >= 0.0 for x in g.strategy.breakpoints), g.budget
 
 
 def test_rewire_rejects_unusable_leagues(wide_sol):
