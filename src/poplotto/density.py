@@ -217,26 +217,16 @@ class PiecewiseDensity:
         return CdfValue(below, at)
 
     def height_at(self, x: float) -> float:
-        """Density height at ``x``.
+        """Density height at ``x``, zero outside the breakpoints.
 
         On a breakpoint the left segment's height is reported, so plateau
-        heights are stable when queried at their right edge.  Points within
-        ``EPS`` of a breakpoint snap to it; points outside the breakpoints
-        that do not snap read zero.
+        heights are stable when queried at their right edge; the left end
+        reads the first segment.
         """
         bp = self.breakpoints
-        if not bp or x < bp[0] - EPS or x > bp[-1] + EPS:
+        if not bp or x < bp[0] or x > bp[-1]:
             return 0.0
-        j = bisect.bisect_left(bp, x)
-        if j and x - bp[j - 1] <= EPS:
-            return self.heights[max(j - 2, 0)]
-        if j < len(bp) and bp[j] - x <= EPS:
-            return self.heights[max(j - 1, 0)]
-        if j == 0 or j == len(bp):
-            # within EPS of an end by the range test, but not by the snap
-            # test: the two round differently
-            return 0.0
-        return self.heights[j - 1]
+        return self.heights[max(bisect.bisect_left(bp, x) - 1, 0)]
 
     @property
     def support(self) -> tuple[float, float] | None:
@@ -346,8 +336,8 @@ def refine(
     Sorts the points; ``merge`` drops each within ``EPS`` of the last kept,
     so the cells are ``zip(edges, edges[1:])``, else cells narrower than
     ``EPS`` are skipped.  Returns the edges and each density's ``height_at``
-    at every cell midpoint, read only at the midpoints that pass its range
-    test and written as the 0.0 it returns everywhere else.
+    at every cell midpoint, read only at the midpoints inside its
+    breakpoints and written as the 0.0 it returns everywhere else.
     """
     edges = sorted(points)
     if merge:
@@ -361,8 +351,8 @@ def refine(
     for row, dens in zip(rows, densities):
         bp = dens.breakpoints
         if bp:
-            start = bisect.bisect_left(mids, bp[0] - EPS)
-            stop = bisect.bisect_right(mids, bp[-1] + EPS)
+            start = bisect.bisect_left(mids, bp[0])
+            stop = bisect.bisect_right(mids, bp[-1])
             row[start:stop] = map(dens.height_at, mids[start:stop])
     return edges, rows
 

@@ -383,9 +383,9 @@ def verify_subpop_consistency(
     all strategies as the density constructor pools them, and summed the
     same way.  Each prefix must pass the shape checks of ``verify_nash``
     (no rise, no interior atom, no mass at zero) and be constant across
-    each kept group's support hull: on the cells wider than ``2 * EPS``
-    that the hull overlaps by at least ``EPS``, and on zero where it
-    overlaps the grid's outside by as much.  The verdicts come straight off these arrays; a prefix's
+    each kept group's support hull: on the cells that the hull overlaps by
+    at least ``EPS``, and on zero where it overlaps the grid's outside by
+    as much.  The verdicts come straight off these arrays; a prefix's
     ``report`` carries no payoffs and a null ``mixture_gap``, since the
     prefix aggregate is its strategies' mixture by construction.
     Solutions built by the solver pass every prefix; hand-modified ones
@@ -436,17 +436,10 @@ def verify_subpop_consistency(
 
     # flat[k, j]: group k's flatness at prefix j >= k, read on the cells
     # reaching at least EPS into its hull and, where the hull reaches as
-    # far past the grid, on the zero outside it.  A cell whose midpoint is
-    # within EPS of an edge reads its neighbours' heights through the snap
-    # of ``height_at``, so only the wider cells are read, as reading the
-    # aggregate itself through ``height_at`` would
-    wide = [
-        c
-        for c, (a, b) in enumerate(zip(edges, edges[1:]))
-        if 0.5 * (a + b) - a > EPS and b - 0.5 * (a + b) > EPS
-    ]
-    lefts, rights = [edges[c] for c in wide], [edges[c + 1] for c in wide]
-    level = heights[:, wide]
+    # far past the grid, on the zero outside it; column-major, since each
+    # group reads a run of columns
+    lefts, rights = edges[:-1], edges[1:]
+    level = np.asfortranarray(heights)
     flat = np.zeros((n, n))
     for k, s in enumerate(strategies):
         hull = s.support

@@ -247,12 +247,12 @@ def _contests(
     matrix exactly consistent.  A pair whose hulls satisfy
     ``hi_i + EPS < lo_j - EPS``, each side rounded as computed, is settled
     as 0.0 without a contest, because ``win_prob(f_i, f_j)`` is exactly 0.0:
-    ``refine`` reads f_i only at cell midpoints up to ``hi_i + EPS``, so f_i
-    has a height only in cells that start at one of f_i's points; there
-    ``f_j.cdf(lo)`` and ``f_j.height_at(mid)`` read 0.0, as
-    ``f_j.cdf(loc).midpoint`` does at every atom of f_i, so each term is a
-    finite height or mass times 0.0.  A pair with j below i still plays:
-    its masses need not sum to exactly 1.0.
+    f_i has a height only in cells whose midpoints lie inside its
+    breakpoints, below ``lo_j``, where ``f_j.cdf(lo)`` and
+    ``f_j.height_at(mid)`` read 0.0; ``f_j.cdf(loc).midpoint`` reads 0.0 at
+    every atom of f_i too, as ``cdf`` pools atoms only within ``EPS``.  So
+    each term is a finite height or mass times 0.0.  A pair with j below i
+    still plays: its masses need not sum to exactly 1.0.
     """
     import numpy as np
 
@@ -731,22 +731,22 @@ def export_digraph(
     marks a probability-one outcome.  Exact coin flips yield edges both
     ways.  Formats: ``dot`` (Graphviz) or ``json``.
     """
+    import numpy as np
+
     W = matrix.probs
     n = matrix.n
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if W[j, i] >= 0.5:
-                edges.append(
-                    {
-                        "from": i,
-                        "to": j,
-                        "prob": float(W[j, i]),
-                        "certain": bool(W[j, i] >= 1.0 - tol),
-                    }
-                )
+    # row-major (i, j): an edge from i to each j that beats it at least half
+    # the time
+    wins = (W.T >= 0.5) & ~np.eye(n, dtype=bool)
+    edges = [
+        {
+            "from": i,
+            "to": j,
+            "prob": float(W[j, i]),
+            "certain": bool(W[j, i] >= 1.0 - tol),
+        }
+        for i, j in np.argwhere(wins).tolist()
+    ]
     nodes = []
     for i in range(n):
         node = {"id": i, "league": partition.league_of(i)}

@@ -2,8 +2,8 @@
 
 Each grid function below rebuilds its own union grid and reads
 ``height_at`` at every cell midpoint, as the package did before
-``density.refine`` took over; ``height_at`` is the density method as it was
-then, with its loop over the two snap candidates.  ``tests/test_refine.py``
+``density.refine`` took over; ``height_at`` is the exact read, a scan over
+the segments in place of the method's ``bisect``.  ``tests/test_refine.py``
 checks that the rewritten functions give exactly the same output.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
 before it kept one running mixture, ``running_subpop_consistency`` the
@@ -19,7 +19,6 @@ by one; ``tests/test_structure.py`` compares each with its rewrite.
 
 from __future__ import annotations
 
-import bisect
 import math
 from itertools import combinations
 from typing import Sequence
@@ -159,16 +158,10 @@ def patched(
 
 
 def height_at(dens: PiecewiseDensity, x: float) -> float:
-    bp = dens.breakpoints
-    if not bp or x < bp[0] - EPS or x > bp[-1] + EPS:
-        return 0.0
-    j = bisect.bisect_left(bp, x)
-    for idx in (j - 1, j):
-        if 0 <= idx < len(bp) and abs(bp[idx] - x) <= EPS:
-            return dens.heights[0] if idx == 0 else dens.heights[idx - 1]
-    if j == 0 or j == len(bp):
-        return 0.0
-    return dens.heights[j - 1]
+    for lo, hi, h in dens.segments():
+        if lo <= x <= hi:
+            return h
+    return 0.0
 
 
 def support(dens: PiecewiseDensity) -> tuple[float, float] | None:

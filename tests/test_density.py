@@ -60,13 +60,17 @@ def test_halfopen_segments_and_left_height_rule():
     assert d.height_at(0.0) == 0.2
     assert d.height_at(-1.0) == 0.0
     assert d.height_at(3.0) == 0.0
+    # reads are exact: a point within EPS of a breakpoint reads its own side
+    e = PiecewiseDensity((0.0, 1.0, 2.0), (1.0, 2.0))
+    assert e.height_at(1.0 + 0.5 * EPS) == 2.0
+    assert e.height_at(-0.5 * EPS) == 0.0
 
 
 def test_height_at_is_total_just_outside_the_ends():
-    """Points the range test keeps but the snap test rejects read zero.
+    """Points outside the breakpoints read zero, however close they are.
 
-    ``x - bp[-1]`` can round above ``EPS`` while ``x <= bp[-1] + EPS``
-    still holds, and likewise at the left end.
+    These two sit where ``x - bp[-1]`` rounds above ``EPS`` while
+    ``x <= bp[-1] + EPS`` still holds, and likewise at the left end.
     """
     right = PiecewiseDensity.uniform(2e-9, 1.0 + 2e-9)
     x = right.breakpoints[-1] + EPS
@@ -180,8 +184,8 @@ def test_each_strategy_is_scaled_to_unit_mass_once(monkeypatch, capsys):
 
 def test_densities_are_read_only_on_their_support(monkeypatch):
     """The prefix certificates, a mixture of every strategy and each
-    strategy's contest against the aggregate call ``height_at`` only where
-    its range test passes, within ``EPS`` of the breakpoints."""
+    strategy's contest against the aggregate call ``height_at`` only inside
+    the breakpoints."""
     dist = DiscreteBudgetDistribution.from_dict(
         json.loads((DATA / "staircase.json").read_text())
     )
@@ -202,7 +206,7 @@ def test_densities_are_read_only_on_their_support(monkeypatch):
         win_prob(f, sol.aggregate)
     assert reads
     for bp, x in reads:
-        assert bp and bp[0] - EPS <= x <= bp[-1] + EPS
+        assert bp and bp[0] <= x <= bp[-1]
 
 
 def test_mixture_is_linear_in_mass_and_moment():

@@ -402,11 +402,11 @@ def test_subpop_consistency_matches_running_mixture(dist):
     """Every verdict and violation of the running-mixture loop, within
     1e-12 of the largest prefix height, on solved and rewired populations.
 
-    A cell between EPS and 2 EPS wide reads its neighbours' heights, and
-    the running mixture sometimes merged such a cell away where a one-shot
-    mix keeps it (ROADMAP item 1; ``--hypothesis-seed=101`` shows one).  On
-    a prefix where the loop's verdict differs from the remix oracle's, the
-    remix oracle is the reference instead.
+    The running mixture coalesces equal neighbouring heights as it goes,
+    so its grid can lack a breakpoint that a one-shot mix keeps, and a
+    later point within EPS of it then merges differently (ROADMAP item 2).
+    On a prefix where the loop's verdict differs from the remix oracle's,
+    the remix oracle is the reference instead.
     """
     for sol in filter(None, _solved_and_rewired(dist)):
         got = verify_subpop_consistency(dist, sol, 1e-9)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poplotto import Dyad, PiecewiseDensity, dyad_payoff, win_prob
@@ -138,6 +138,12 @@ def unit_densities(draw):
 
 
 @given(unit_densities(), unit_densities())
+@example(
+    # h is f shifted by EPS, so the cell (1, 1 + 1e-9) lies past f's end,
+    # where f reads no height
+    PiecewiseDensity((0.0, 1.0), (1.0,)),
+    PiecewiseDensity((1e-9, 1.000000001), (1.0,)),
+)
 @settings(deadline=None, max_examples=60)
 def test_antisymmetry(f, h):
     p = win_prob(f, h)

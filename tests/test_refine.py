@@ -2,11 +2,11 @@
 
 Every function that works on the common refinement of step densities now
 calls ``density.refine``.  Each is compared with the loop it replaced
-(``tests/grid_oracles.py``), and ``height_at`` with its earlier form, by
-exact equality of serialised output.
+(``tests/grid_oracles.py``), and ``height_at`` with a scan over its
+segments, by exact equality of serialised output.
 Breakpoints are drawn at {0, 0.3, 0.5, 0.6, 0.9, 1, 1.2, 2} x EPS from one
 another, next to ordinary gaps, so that merging chains of close points,
-dropping sliver cells and snapping midpoints onto breakpoints all occur.
+dropping sliver cells and midpoints within EPS of breakpoints all occur.
 """
 
 from __future__ import annotations
@@ -149,12 +149,14 @@ def test_support_matches_reference(case):
     assert same(dens.support, oracle.support(dens))
 
 
-def test_win_prob_reads_the_sliver_cell_past_the_strategy():
-    # the cell (1, 1 + 1.2 EPS) has its midpoint within EPS past f's last
-    # breakpoint, where f still reads its last height
+def test_win_prob_reads_no_height_in_the_sliver_cell_between_strategies():
+    # the cell (1, 1 + 1.2 EPS) lies past f's last breakpoint and before
+    # h's first, so neither reads a height there, though its midpoint is
+    # within EPS of both
     f = PiecewiseDensity.uniform(0.0, 1.0)
     h = PiecewiseDensity.uniform(1.0 + 1.2 * EPS, 2.0)
-    assert win_prob(f, h) > 0.0
+    assert win_prob(f, h) == 0.0
+    assert win_prob(h, f) == 1.0
     assert same(win_prob(f, h), oracle.win_prob(f, h))
 
 
