@@ -124,11 +124,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
-    dist = _load_distribution(args.input)
-    sol = solve(dist)
+    subs = sub_leagues(_load_distribution(args.input), args.tol)
+    sol = subs.solution
     matrix = outcome_matrix(sol)
     transitivity = transitivity_report(matrix, args.tol)
-    subs = sub_leagues(dist, args.tol)
     payload = {
         **sol.to_dict(),
         "reports": {

@@ -73,11 +73,15 @@ class DiscreteBudgetDistribution:
                     "budgets must be strictly increasing; merge groups with "
                     "equal budgets by summing their masses"
                 )
-        total = sum(mass for _, mass in rows)
+        # a power-of-two shift is exact, so the shares keep their bits while
+        # masses near the float maximum no longer sum to infinity
+        shift = math.frexp(max(mass for _, mass in rows))[1]
+        scaled = [math.ldexp(mass, -shift) for _, mass in rows]
+        total = sum(scaled)
         object.__setattr__(
             self,
             "entries",
-            tuple((budget, mass / total) for budget, mass in rows),
+            tuple((budget, mass / total) for (budget, _), mass in zip(rows, scaled)),
         )
 
     @property
@@ -304,20 +308,6 @@ def _pour_group(
     )
 
 
-def fill(
-    profile: TerraceProfile, budget: float, mass: float
-) -> tuple[TerraceProfile, PiecewiseDensity]:
-    """Pour one group and return the updated profile and the group's slab.
-
-    The budget must exceed every budget already poured; violations surface
-    as :class:`SolverError` when the slab cannot settle.
-    """
-    bounds = list(profile.bounds)
-    levels = list(profile.levels)
-    slab = _pour_group(bounds, levels, budget, mass)
-    return TerraceProfile(tuple(bounds), tuple(levels)), slab
-
-
 def iter_pours(
     dist: DiscreteBudgetDistribution,
 ) -> Iterator[tuple[SubPopulation, list[float], list[float]]]:
@@ -328,7 +318,9 @@ def iter_pours(
     copy them to keep a snapshot.  Because every pour depends only on the
     groups poured before it and is homogeneous of degree one in mass, the
     terraces after group j are the equilibrium of the first j groups with
-    their levels multiplied by those groups' mass share.
+    their levels multiplied by those groups' mass share: the truncation's
+    height at a poured budget ``b`` is ``levels[bisect_left(bounds, b)]``
+    divided by that share, with no density built.
     """
     bounds = [0.0]
     levels = [math.inf]

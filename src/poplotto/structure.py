@@ -12,6 +12,7 @@ rewiring that demonstrates how loosely the matrix is pinned down.
 
 from __future__ import annotations
 
+import bisect
 import json
 import numbers
 from dataclasses import dataclass, replace
@@ -76,14 +77,13 @@ class LeaguePartition:
 
 
 def _height_classes(
-    agg: PiecewiseDensity, budgets: Sequence[float], tol: float
-) -> tuple[list[float], list[list[int]]]:
-    """Aggregate height at each budget, and the groups chained by height.
+    heights: Sequence[float], budgets: Sequence[float], tol: float
+) -> list[list[int]]:
+    """Groups chained by the aggregate height at their budgets.
 
     Groups are visited tallest first (ties by budget), and each joins the
     previous class when its height is within ``tol`` of the last member's.
     """
-    heights = [agg.height_at(b) for b in budgets]
     order = sorted(range(len(budgets)), key=lambda i: (-heights[i], budgets[i]))
     classes: list[list[int]] = []
     for i in order:
@@ -91,7 +91,7 @@ def _height_classes(
             classes[-1].append(i)
         else:
             classes.append([i])
-    return heights, classes
+    return classes
 
 
 def leagues(sol: EquilibriumSolution, tol: float = EPS) -> LeaguePartition:
@@ -103,7 +103,8 @@ def leagues(sol: EquilibriumSolution, tol: float = EPS) -> LeaguePartition:
     league's height.
     """
     agg = sol.aggregate
-    heights, classes = _height_classes(agg, sol.budgets, tol)
+    heights = [agg.height_at(b) for b in sol.budgets]
+    classes = _height_classes(heights, sol.budgets, tol)
     built = []
     for members in classes:
         c = heights[members[0]]
@@ -136,8 +137,11 @@ class SubLeague:
 
 @dataclass(frozen=True)
 class SubLeagueReport:
+    """Full and latent leagues, and the solution they were read off (unserialised)."""
+
     full: LeaguePartition
     sub_leagues: tuple[SubLeague, ...]
+    solution: EquilibriumSolution
 
     def member_sets(self) -> list[frozenset[int]]:
         return [frozenset(s.members) for s in self.sub_leagues]
@@ -157,13 +161,15 @@ def sub_leagues(
     Reads the league partition of every budget truncation off a single
     pour of the population: after group j the terraces are the truncated
     equilibrium with its levels scaled by the first j groups' mass share,
-    so dividing the levels by that share gives the truncation's heights,
-    on which the absolute ``tol`` applies.  Records league sets that do not
-    survive into the full equilibrium, together with the truncation
-    thresholds at which they appear.  Singletons are skipped: a lone group
-    is a league in any truncation, so it says nothing about groups merging.
-    Only one level of nesting is reported; sub-leagues of sub-leagues show
-    up under their own thresholds rather than recursively.
+    so a budget's height in the truncation is the level of the terrace
+    holding it (the left one on a bound, as ``height_at`` reads) over that
+    share; the absolute ``tol`` applies to those heights.  Records league
+    sets that do not survive into the full equilibrium, together with the
+    truncation thresholds at which they appear.  Singletons are skipped: a
+    lone group is a league in any truncation, so it says nothing about
+    groups merging.  Only one level of nesting is reported; sub-leagues of
+    sub-leagues show up under their own thresholds rather than recursively.
+    The report carries the pour's full equilibrium, equal to ``solve(dist)``.
     """
     groups: list[SubPopulation] = []
     budgets: list[float] = []
@@ -175,19 +181,20 @@ def sub_leagues(
         share += group.mass
         if len(groups) == len(dist):
             continue
-        agg = PiecewiseDensity(bounds, [level / share for level in levels[1:]])
-        for members in _height_classes(agg, budgets, tol)[1]:
+        heights = [levels[bisect.bisect_left(bounds, b)] / share for b in budgets]
+        for members in _height_classes(heights, budgets, tol):
             if len(members) > 1:
                 found.setdefault(tuple(sorted(members)), []).append(group.budget)
     full = TerraceProfile(tuple(bounds), tuple(levels)).as_density()
-    full_partition = leagues(EquilibriumSolution(tuple(groups), full), tol)
+    solution = EquilibriumSolution(tuple(groups), full)
+    full_partition = leagues(solution, tol)
     full_sets = set(full_partition.member_sets())
     subs = tuple(
         SubLeague(members=members, thresholds=tuple(ts))
         for members, ts in sorted(found.items())
         if frozenset(members) not in full_sets
     )
-    return SubLeagueReport(full=full_partition, sub_leagues=subs)
+    return SubLeagueReport(full=full_partition, sub_leagues=subs, solution=solution)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import poplotto
-from poplotto import EquilibriumSolution, SolverError
+from poplotto import EquilibriumSolution, SolverError, solver
 from poplotto.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -191,6 +191,20 @@ def test_analyze_reports_structure(tmp_path, capsys):
     assert "sub-league [0, 1]: a league when truncated at budget 1.5" in captured.err
 
 
+def test_analyze_pours_each_group_once(capsys, monkeypatch):
+    """analyze reads its solution off the pour that sub_leagues makes."""
+    pour = solver._pour_group
+    poured = []
+
+    def counted(bounds, levels, budget, mass):
+        poured.append(budget)
+        return pour(bounds, levels, budget, mass)
+
+    monkeypatch.setattr(solver, "_pour_group", counted)
+    assert main(["analyze", str(DATA / "nine_rows.json")]) == 0
+    assert poured == [1.0, 1.05, 1.1, 5.0, 5.2, 5.4, 5.6, 7.0, 13.0]
+
+
 def test_dice_defaults_to_searched_triple(capsys):
     assert main(["dice"]) == 0
     captured = capsys.readouterr()
@@ -240,6 +254,20 @@ def test_mass_normalization_warning(tmp_path, capsys):
     assert main(["solve", src, "--out", str(tmp_path / "o.json")]) == 0
     captured = capsys.readouterr()
     assert "normalizing" in captured.err
+
+
+@pytest.mark.parametrize("mass", [1e308, 1e-320])
+def test_masses_at_either_end_of_the_float_range_solve(mass, tmp_path, capsys):
+    """Only mass ratios matter, even where a plain sum overflows or is subnormal."""
+    rows = [{"budget": 1.0, "mass": 1.0}, {"budget": 1.5, "mass": 1.0}]
+    src = write_json(tmp_path, "unit.json", {"subpopulations": rows})
+    assert main(["solve", src]) == 0
+    unit = capsys.readouterr().out
+    for row in rows:
+        row["mass"] = mass
+    src = write_json(tmp_path, "extreme.json", {"subpopulations": rows})
+    assert main(["solve", src]) == 0
+    assert capsys.readouterr().out == unit
 
 
 def test_invalid_inputs_exit_one(tmp_path, capsys):

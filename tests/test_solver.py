@@ -15,13 +15,13 @@ from poplotto import (
     SolverError,
     SubPopulation,
     TerraceProfile,
-    fill,
     mixture,
     quadratic_fill,
     solve,
     step_gap,
     win_prob,
 )
+from poplotto.solver import _pour_group
 from tests.conftest import (
     NINE_ROWS,
     budget_rows,
@@ -166,22 +166,17 @@ def test_empty_profile_density_is_zero():
 
 
 def test_fill_rejects_bad_slabs():
-    profile = TerraceProfile((0.0,), (math.inf,))
-    with pytest.raises(ValueError):
-        fill(profile, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        fill(profile, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        fill(profile, math.nan, 0.5)
+    for budget, mass in ((-1.0, 0.5), (1.0, 0.0), (math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            _pour_group([0.0], [math.inf], budget, mass)
 
 
 def test_fill_unreachable_mean_raises():
     # budget 3 against a structure already built out to 18: the slab would
     # have to settle inside the terrace, which only happens when pours are
     # fed out of budget order
-    profile = TerraceProfile((0.0, 2.0, 18.0), (math.inf, 0.25, 0.03125))
     with pytest.raises(SolverError, match="unreachable"):
-        fill(profile, 3.0, 0.1)
+        _pour_group([0.0, 2.0, 18.0], [math.inf, 0.25, 0.03125], 3.0, 0.1)
 
 
 def test_solve_wraps_group_index(monkeypatch):
@@ -260,14 +255,16 @@ def test_prefix_solutions_embed_in_full_solve():
 
 
 def _solve_by_fill(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
-    """Reference solve: chain the public ``fill`` over immutable profiles."""
+    """Reference solve: each pour on fresh copies of a validated profile."""
     profile = TerraceProfile((0.0,), (math.inf,))
     groups = []
     for index, (budget, mass) in enumerate(dist.entries):
+        bounds, levels = list(profile.bounds), list(profile.levels)
         try:
-            profile, slab = fill(profile, budget, mass)
+            slab = _pour_group(bounds, levels, budget, mass)
         except SolverError as exc:
             raise SolverError(f"group {index}: {exc}", group_index=index) from exc
+        profile = TerraceProfile(tuple(bounds), tuple(levels))
         if (
             abs(slab.total_mass - mass) > 1e-7
             or abs(slab.mean() - budget) > 1e-7 * max(1.0, budget)
@@ -283,7 +280,7 @@ def _solve_by_fill(dist: DiscreteBudgetDistribution) -> EquilibriumSolution:
 @given(scaled_populations())
 @settings(deadline=None, max_examples=80)
 def test_solve_matches_chained_fill(dist):
-    """The in-place pour loop cannot drift from the public fill."""
+    """The in-place pour loop cannot drift from pours chained over profiles."""
     assert document_or_error(solve, dist) == document_or_error(_solve_by_fill, dist)
 
 

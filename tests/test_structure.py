@@ -23,7 +23,7 @@ from poplotto import (
     step_gap,
     verify_nash,
 )
-from poplotto import cli, structure
+from poplotto import cli, density, structure
 from poplotto.density import EPS
 from poplotto.structure import (
     League,
@@ -47,7 +47,6 @@ from poplotto.structure import (
 from tests.conftest import (
     NINE_ROWS,
     budget_rows,
-    document_or_error,
     scaled_populations,
 )
 from tests import grid_oracles as oracle
@@ -128,7 +127,8 @@ def _sub_leagues_by_resolving(
     dist: DiscreteBudgetDistribution, tol: float = 1e-9
 ) -> SubLeagueReport:
     """Reference sub-leagues: solve every budget truncation from scratch."""
-    full_partition = leagues(solve(dist), tol)
+    full = solve(dist)
+    full_partition = leagues(full, tol)
     full_sets = set(full_partition.member_sets())
     found: dict[tuple[int, ...], list[float]] = {}
     for count in range(1, len(dist)):
@@ -142,21 +142,30 @@ def _sub_leagues_by_resolving(
         SubLeague(members=members, thresholds=tuple(ts))
         for members, ts in sorted(found.items())
     )
-    return SubLeagueReport(full=full_partition, sub_leagues=subs)
+    return SubLeagueReport(full=full_partition, sub_leagues=subs, solution=full)
+
+
+def _report_documents(fn, dist: DiscreteBudgetDistribution) -> tuple[str, str]:
+    """Documents of ``fn``'s report and of its solution, or the error raised."""
+    try:
+        report = fn(dist)
+    except (ValueError, SolverError) as exc:
+        return (f"{type(exc).__name__}: {exc}",) * 2
+    return json.dumps(report.to_dict()), json.dumps(report.solution.to_dict())
 
 
 @given(scaled_populations())
 @settings(deadline=None, max_examples=60)
 def test_sub_leagues_match_resolved_truncations(dist):
-    expected = document_or_error(_sub_leagues_by_resolving, dist)
-    assert document_or_error(sub_leagues, dist) == expected
+    expected = _report_documents(_sub_leagues_by_resolving, dist)
+    assert _report_documents(sub_leagues, dist) == expected
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
 def test_sub_leagues_of_scaled_nine_match_resolved_truncations(scale):
     dist = budget_rows(*((b * scale, m) for b, m in NINE_ROWS))
-    expected = document_or_error(_sub_leagues_by_resolving, dist)
-    assert document_or_error(sub_leagues, dist) == expected
+    expected = _report_documents(_sub_leagues_by_resolving, dist)
+    assert _report_documents(sub_leagues, dist) == expected
 
 
 def test_sub_leagues_never_solve(nine_dist, monkeypatch):
@@ -166,6 +175,23 @@ def test_sub_leagues_never_solve(nine_dist, monkeypatch):
     monkeypatch.setattr("poplotto.solver.solve", forbidden)
     monkeypatch.setattr("poplotto.structure.solve", forbidden, raising=False)
     assert len(sub_leagues(nine_dist).sub_leagues) == 5
+
+
+def test_sub_leagues_build_only_the_densities_solve_builds(nine_dist, monkeypatch):
+    """Truncation heights come off the terrace lists, not per-truncation densities."""
+    built = {"count": 0}
+    clean = density._clean_segments
+
+    def counted(*args):
+        built["count"] += 1
+        return clean(*args)
+
+    monkeypatch.setattr(density, "_clean_segments", counted)
+    solve(nine_dist)
+    by_solve = built["count"]
+    built["count"] = 0
+    sub_leagues(nine_dist)
+    assert built["count"] == by_solve
 
 
 def test_outcome_matrix_wide_is_sure(wide_sol):
