@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from decimal import Context, Decimal
 from pathlib import Path
 
 from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consistency
@@ -61,6 +62,8 @@ def _read_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is nested too deeply to read: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return data
@@ -69,12 +72,13 @@ def _read_json(path: str) -> dict:
 def _load_distribution(path: str) -> DiscreteBudgetDistribution:
     data = _read_json(path)
     dist = DiscreteBudgetDistribution.from_dict(data)
-    raw = sum(float(row["mass"]) for row in data["subpopulations"])
+    masses = [float(row["mass"]) for row in data["subpopulations"]]
+    raw = sum(masses)
     if abs(raw - 1.0) > MASS_SLACK:
-        print(
-            f"warning: masses sum to {raw!r}, normalizing to 1",
-            file=sys.stderr,
-        )
+        if math.isinf(raw):
+            # past the float range: the exact sum, to 17 digits
+            raw = sum(map(Decimal, masses)).normalize(Context(prec=17))
+        print(f"warning: masses sum to {raw}, normalizing to 1", file=sys.stderr)
     return dist
 
 

@@ -238,6 +238,12 @@ class PiecewiseDensity:
             return None
         return min(ends), max(ends)
 
+    def heights_across(self, lo: float, hi: float) -> list[float]:
+        """``refine``'s heights on ``[lo, hi]`` cut at the breakpoints inside it."""
+        bp = self.breakpoints
+        inner = bp[bisect.bisect_right(bp, lo) : bisect.bisect_left(bp, hi)]
+        return refine((lo, *inner, hi), (self,))[1][0]
+
     def support_runs(self) -> list[tuple[float, float]]:
         """Maximal intervals of positive height, atoms as zero-width runs."""
         runs: list[tuple[float, float]] = []
@@ -327,26 +333,22 @@ class PiecewiseDensity:
 
 
 def refine(
-    points: Iterable[float],
-    densities: Sequence[PiecewiseDensity],
-    merge: bool = True,
+    points: Iterable[float], densities: Sequence[PiecewiseDensity]
 ) -> tuple[list[float], list[list[float]]]:
     """Common refinement of step densities: cells cut at ``points``.
 
-    Sorts the points; ``merge`` drops each within ``EPS`` of the last kept,
-    so the cells are ``zip(edges, edges[1:])``, else cells narrower than
-    ``EPS`` are skipped.  Returns the edges and each density's ``height_at``
-    at every cell midpoint, read only at the midpoints inside its
-    breakpoints and written as the 0.0 it returns everywhere else.
+    Sorts the points and drops each within ``EPS`` of the last kept, so
+    the cells are ``zip(edges, edges[1:])``, each at least ``EPS`` wide.
+    Returns the edges and each density's ``height_at`` at every cell
+    midpoint, read only at the midpoints inside its breakpoints and
+    written as the 0.0 it returns everywhere else.
     """
     edges = sorted(points)
-    if merge:
-        kept = edges[:1]
-        for x in edges[1:]:
-            if x - kept[-1] >= EPS:
-                kept.append(x)
-        edges = kept
-    mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:]) if hi - lo >= EPS]
+    kept = edges[:1]
+    for x in edges[1:]:
+        if x - kept[-1] >= EPS:
+            kept.append(x)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(kept, kept[1:])]
     rows = [[0.0] * len(mids) for _ in densities]
     for row, dens in zip(rows, densities):
         bp = dens.breakpoints
@@ -354,16 +356,16 @@ def refine(
             start = bisect.bisect_left(mids, bp[0])
             stop = bisect.bisect_right(mids, bp[-1])
             row[start:stop] = map(dens.height_at, mids[start:stop])
-    return edges, rows
+    return kept, rows
 
 
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     """Largest pointwise difference between two densities.
 
-    Compares segment heights on the union grid and atom masses at pooled
-    locations; zero means the densities describe the same measure.
+    Compares segment heights on every cell ``refine`` cuts and atom masses
+    at pooled locations; zero means the same measure on every merged cell.
     """
-    _, (ha, hb) = refine((*a.breakpoints, *b.breakpoints), (a, b), merge=False)
+    _, (ha, hb) = refine((*a.breakpoints, *b.breakpoints), (a, b))
     gap = max(map(abs, map(operator.sub, ha, hb)), default=0.0)
     for loc in {loc for loc, _ in a.atoms + b.atoms}:
         gap = max(gap, abs(a.cdf(loc).at - b.cdf(loc).at))

@@ -149,10 +149,9 @@ def _flat_violation(
     lo, hi = hull
     if hi - lo <= EPS:
         return 0.0
-    inner = [x for x in aggregate.breakpoints if lo < x < hi]
-    # a hull without inner breakpoints is one cell, whose spread is zero
-    seen = refine((lo, hi, *inner), (aggregate,), merge=False)[1][0] if inner else []
-    spread = max(seen) - min(seen) if seen else 0.0
+    # a hull wider than EPS holds at least one cell
+    seen = aggregate.heights_across(lo, hi)
+    spread = max(seen) - min(seen)
     atom_breach = max(
         (mass for loc, mass in aggregate.atoms if lo + EPS < loc < hi - EPS),
         default=0.0,

@@ -516,13 +516,6 @@ def search_dice_triple() -> tuple[tuple[int, ...], ...]:
     return triple
 
 
-def _min_height(dens: PiecewiseDensity, lo: float, hi: float) -> float:
-    """Smallest density height across ``[lo, hi]``."""
-    pts = (lo, hi, *(x for x in dens.breakpoints if lo < x < hi))
-    _, (heights,) = refine(pts, (dens,), merge=False)
-    return min(heights, default=0.0)
-
-
 def _patched(
     dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
 ) -> PiecewiseDensity:
@@ -562,11 +555,12 @@ def _slice_swap(
     ]
     f_give = sol.groups[giver].strategy
     f_take = sol.groups[taker].strategy
-    headroom_outer = min(
-        _min_height(f_give, *cells[0]), _min_height(f_give, *cells[2])
-    )
-    headroom_mid = 0.5 * _min_height(f_take, *cells[1])
-    s = min(headroom_outer, headroom_mid)
+    # the lowest height each strategy has to shed on its slices
+    low = [
+        min(dens.heights_across(*cell), default=0.0)
+        for dens, cell in zip((f_give, f_take, f_give), cells)
+    ]
+    s = min(low[0], 0.5 * low[1], low[2])
     if s <= 100.0 * EPS:
         return None
     give_delta = [-s, 2.0 * s, -s]

@@ -5,6 +5,9 @@ Each grid function below rebuilds its own union grid and reads
 ``density.refine`` took over; ``height_at`` is the exact read, a scan over
 the segments in place of the method's ``bisect``.  ``tests/test_refine.py``
 checks that the rewritten functions give exactly the same output.
+``step_gap`` and ``min_height`` drop each point within EPS of the last kept,
+as ``refine`` does; ``skip_cell_step_gap`` is the loop ``step_gap`` ran
+before, which kept every point and skipped cells narrower than EPS.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
 before it kept one running mixture, ``running_subpop_consistency`` the
 running mixture it kept before it read every prefix off one cumulative sum
@@ -34,7 +37,27 @@ from poplotto.solver import EquilibriumSolution, SubPopulation
 from poplotto.structure import _NOTIONS, OutcomeMatrix, TransitivityReport
 
 
+def merged_cells(points) -> list[tuple[float, float]]:
+    """Cells of the sorted points, each point within EPS of the last kept
+    dropped."""
+    merged: list[float] = []
+    for x in sorted(set(points)):
+        if not merged or x - merged[-1] >= EPS:
+            merged.append(x)
+    return list(zip(merged, merged[1:]))
+
+
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
+    gap = 0.0
+    for lo, hi in merged_cells((*a.breakpoints, *b.breakpoints)):
+        mid = 0.5 * (lo + hi)
+        gap = max(gap, abs(height_at(a, mid) - height_at(b, mid)))
+    return max(gap, atom_gap(a, b))
+
+
+def skip_cell_step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
+    """``step_gap`` as it read before its cells were merged: every point
+    kept, cells narrower than EPS skipped."""
     pts = sorted(set(a.breakpoints) | set(b.breakpoints))
     gap = 0.0
     for lo, hi in zip(pts, pts[1:]):
@@ -42,12 +65,14 @@ def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
             continue
         mid = 0.5 * (lo + hi)
         gap = max(gap, abs(height_at(a, mid) - height_at(b, mid)))
+    return max(gap, atom_gap(a, b))
+
+
+def atom_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     locs = sorted(
         set(loc for loc, _ in a.atoms) | set(loc for loc, _ in b.atoms)
     )
-    for loc in locs:
-        gap = max(gap, abs(a.cdf(loc).at - b.cdf(loc).at))
-    return gap
+    return max((abs(a.cdf(loc).at - b.cdf(loc).at) for loc in locs), default=0.0)
 
 
 def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity:
@@ -127,13 +152,8 @@ def flat_violation(
 
 
 def min_height(dens: PiecewiseDensity, lo: float, hi: float) -> float:
-    pts = sorted({lo, hi, *(x for x in dens.breakpoints if lo < x < hi)})
-    out = math.inf
-    for a, b in zip(pts, pts[1:]):
-        if b - a < EPS:
-            continue
-        out = min(out, height_at(dens, 0.5 * (a + b)))
-    return out if math.isfinite(out) else 0.0
+    cells = merged_cells((lo, hi, *(x for x in dens.breakpoints if lo < x < hi)))
+    return min((height_at(dens, 0.5 * (a + b)) for a, b in cells), default=0.0)
 
 
 def patched(

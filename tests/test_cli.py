@@ -256,6 +256,32 @@ def test_mass_normalization_warning(tmp_path, capsys):
     assert "normalizing" in captured.err
 
 
+def test_mass_warning_spells_out_a_sum_past_the_float_range(tmp_path, capsys):
+    rows = [{"budget": 1.0, "mass": 1e308}, {"budget": 1.5, "mass": 1e308}]
+    src = write_json(tmp_path, "huge.json", {"subpopulations": rows})
+    assert main(["solve", src]) == 0
+    err = capsys.readouterr().err
+    assert "warning: masses sum to 2E+308, normalizing to 1\n" in err
+    # a sum that fits in a float keeps its repr
+    rows = [{"budget": 1.0, "mass": 0.1}, {"budget": 1.5, "mass": 0.2}]
+    src = write_json(tmp_path, "small.json", {"subpopulations": rows})
+    assert main(["solve", src]) == 0
+    err = capsys.readouterr().err
+    assert "warning: masses sum to 0.30000000000000004, normalizing to 1\n" in err
+
+
+def test_deeply_nested_json_exits_one(tmp_path):
+    """Nesting past the decoder's recursion limit is invalid input to
+    every command that reads a file, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for command in ("solve", "verify", "analyze", "dice", "rewire", "export"):
+        proc = run_cli(command, str(deep))
+        assert proc.returncode == 1, command
+        assert proc.stderr.startswith("error:"), command
+        assert "Traceback" not in proc.stderr, command
+
+
 @pytest.mark.parametrize("mass", [1e308, 1e-320])
 def test_masses_at_either_end_of_the_float_range_solve(mass, tmp_path, capsys):
     """Only mass ratios matter, even where a plain sum overflows or is subnormal."""

@@ -240,6 +240,16 @@ def test_step_gap_detects_equality_and_difference():
     assert step_gap(a, with_atom) == pytest.approx(0.2, abs=1e-12)
 
 
+def test_heights_across_cuts_at_inner_breakpoints():
+    d = PiecewiseDensity((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+    assert d.heights_across(0.5, 2.5) == [1.0, 2.0, 3.0]
+    assert d.heights_across(1.0, 2.0) == [2.0]
+    # a breakpoint within EPS of an end merges into it
+    assert d.heights_across(0.5, 1.0 + 0.5 * EPS) == [1.0]
+    # past the last breakpoint the density reads zero
+    assert d.heights_across(2.5, 4.0) == [3.0, 0.0]
+
+
 def test_dict_roundtrip_is_exact():
     d = PiecewiseDensity((0.0, 1.0 / 3.0, 2.0), (0.3, 0.7), ((1.5, 0.25),))
     assert PiecewiseDensity.from_dict(d.to_dict()) == d

@@ -3,10 +3,13 @@
 Every function that works on the common refinement of step densities now
 calls ``density.refine``.  Each is compared with the loop it replaced
 (``tests/grid_oracles.py``), and ``height_at`` with a scan over its
-segments, by exact equality of serialised output.
+segments, by exact equality of serialised output; ``step_gap`` is also
+held at or above the loop that skipped cells narrower than EPS instead of
+merging their points.
 Breakpoints are drawn at {0, 0.3, 0.5, 0.6, 0.9, 1, 1.2, 2} x EPS from one
 another, next to ordinary gaps, so that merging chains of close points,
-dropping sliver cells and midpoints within EPS of breakpoints all occur.
+cells between EPS and 2·EPS wide and midpoints within EPS of breakpoints
+all occur.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from poplotto.density import EPS, PiecewiseDensity, mixture, refine, step_gap
 from poplotto.equilibrium import _flat_violation
 from poplotto.payoff import win_prob
-from poplotto.structure import _min_height, _patched
+from poplotto.structure import _patched
 from tests import grid_oracles as oracle
 
 OFFSETS = tuple(k * EPS for k in (0.0, 0.3, 0.5, 0.6, 0.9, 1.0, 1.2, 2.0))
@@ -70,6 +73,25 @@ def test_step_gap_matches_reference(case):
     assert same(step_gap(a, b), oracle.step_gap(a, b))
 
 
+@given(density_pairs())
+@settings(deadline=None, max_examples=200)
+def test_step_gap_never_below_the_skip_cell_reference(case):
+    # every cell the old loop read keeps its reading under the merge, so
+    # the remix certificate only gets stricter
+    a, b, _ = case
+    assert step_gap(a, b) >= oracle.skip_cell_step_gap(a, b)
+
+
+def test_step_gap_reads_a_segment_narrower_than_two_eps():
+    # b's breakpoint at 1 + 0.75 EPS merges into 1, so the cell is a's own
+    # 1.5 EPS segment, where a carries 3 and b carries 1; the skip-cell
+    # loop split it into two sliver cells and read neither
+    a = PiecewiseDensity((0.0, 1.0, 1.0 + 1.5 * EPS, 2.0), (1.0, 3.0, 1.0))
+    b = PiecewiseDensity((0.0, 1.0 + 0.75 * EPS, 2.0), (1.0, 1.0 + 1e-7))
+    assert step_gap(a, b) == 2.0
+    assert oracle.skip_cell_step_gap(a, b) < 1e-6
+
+
 @st.composite
 def mixture_parts(draw):
     lattice = draw(lattices())
@@ -116,7 +138,8 @@ def test_flat_violation_matches_reference(case, data):
 def test_min_height_matches_reference(case, data):
     dens, _, lattice = case
     lo, hi = data.draw(hulls(lattice))
-    assert same(_min_height(dens, lo, hi), oracle.min_height(dens, lo, hi))
+    low = min(dens.heights_across(lo, hi), default=0.0)
+    assert same(low, oracle.min_height(dens, lo, hi))
 
 
 @given(density_pairs(), st.data())
@@ -167,10 +190,6 @@ def test_refine_merges_and_drops_slivers():
     # 0.6 EPS merges into 0, then 1.2 EPS is EPS clear of 0 and stays
     assert edges == [0.0, 1.2 * EPS, 1.0, 2.0]
     assert heights == [1.0, 1.0, 2.0]
-    edges, (heights,) = refine(points, (dens,), merge=False)
-    # every point stays an edge, the two sliver cells get no reading
-    assert edges == list(points)
-    assert heights == [1.0, 2.0]
 
 
 def test_refine_reads_zero_outside_each_density():
