@@ -71,7 +71,9 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
 
     Both inputs must be normalized.  Exact per cell: within a cell the
     opponent's cumulative mass is linear, so the integral of ``f`` against
-    it is a rectangle plus a triangle.
+    it is a rectangle plus a triangle.  When ``refine`` merges the largest
+    point into the last cell, ``f``'s mass past the last edge beats all of
+    ``h`` below it.
     """
     _require_unit_mass(f, "first")
     _require_unit_mass(h, "second")
@@ -89,6 +91,11 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
         total += f_height * (
             start.inclusive * width + 0.5 * h_height * width * width
         )
+    # unit mass means at least one point, so ``edges`` is never empty
+    top, last = max(pts), edges[-1]
+    if last < top:
+        tail = f.cdf(top).inclusive - f.cdf(last).inclusive
+        total += tail * h.cdf(last).inclusive
     for loc, mass in f.atoms:
         total += mass * h.cdf(loc).midpoint
     return total

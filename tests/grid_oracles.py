@@ -8,6 +8,8 @@ checks that the rewritten functions give exactly the same output.
 ``step_gap`` and ``min_height`` drop each point within EPS of the last kept,
 as ``refine`` does; ``skip_cell_step_gap`` is the loop ``step_gap`` ran
 before, which kept every point and skipped cells narrower than EPS.
+``win_prob`` counts the mass past the last kept point as ``payoff.win_prob``
+does.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
 before it kept one running mixture, ``running_subpop_consistency`` the
 running mixture it kept before it read every prefix off one cumulative sum
@@ -124,6 +126,10 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
         total += f_height * (
             start.inclusive * width + 0.5 * h_height * width * width
         )
+    if merged[-1] < grid[-1]:
+        # f's mass past the last kept point beats all of h below it
+        tail = f.cdf(grid[-1]).inclusive - f.cdf(merged[-1]).inclusive
+        total += tail * h.cdf(merged[-1]).inclusive
     for loc, mass in f.atoms:
         total += mass * h.cdf(loc).midpoint
     return total
