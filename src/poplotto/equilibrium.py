@@ -1,8 +1,8 @@
 """Independent certification of candidate equilibria.
 
 A candidate solution passes when no group can gain by moving its mass
-elsewhere.  Two equivalent certificates are checked by separate routines
-and never collapsed into one:
+elsewhere.  Two equivalent certificates are checked by separate routines,
+which read one shared payoff per group, ``EquilibriumSolution.payoffs``:
 
 * the staircase conditions: the aggregate density is non-increasing,
   starts at zero cumulative mass, and is constant across each group's
@@ -26,11 +26,12 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
-from .payoff import Dyad, dyad_payoff, win_prob
+from .payoff import Dyad, dyad_payoff
 from .solver import EquilibriumSolution, DiscreteBudgetDistribution
 from .solver import positive_finite
 
@@ -191,10 +192,10 @@ def verify_nash(sol: EquilibriumSolution, tol: float = EPS) -> EquilibriumReport
     checks = tuple(
         GroupCheck(
             budget=g.budget,
-            payoff=win_prob(g.strategy.normalized(), agg),
+            payoff=payoff,
             flat_violation=_flat_violation(agg, g.strategy.support),
         )
-        for g in sol.groups
+        for g, payoff in zip(sol.groups, sol.payoffs)
     )
     return EquilibriumReport(
         tol, checks, **_shape_checks(agg), mixture_gap=step_gap(blended, agg)
@@ -231,21 +232,24 @@ def verify_linear_bounds(
     support.
     """
     agg = sol.aggregate
-    candidate_list = sorted({0.0, *agg.breakpoints, *(loc for loc, _ in agg.atoms)})
+    bp = agg.breakpoints
+    candidate_list = sorted({0.0, *bp, *(loc for loc, _ in agg.atoms)})
     inclusive = [agg.cdf(x).inclusive for x in candidate_list]
     checks = []
-    for g in sol.groups:
-        payoff = win_prob(g.strategy.normalized(), agg)
+    for g, payoff in zip(sol.groups, sol.payoffs):
         intercept = _chord_intercept(agg, g.budget, g.strategy.support)
         slope = (payoff - intercept) / g.budget
-        bound = 0.0
-        for x, g_x in zip(candidate_list, inclusive):
-            line = intercept + slope * x
-            bound = max(bound, g_x - line)
+        bound = max(
+            0.0,
+            *[
+                g_x - (intercept + slope * x)
+                for x, g_x in zip(candidate_list, inclusive)
+            ],
+        )
         support_gap = 0.0
         for lo, hi in g.strategy.support_runs():
-            pts = {lo, hi, *(x for x in agg.breakpoints if lo < x < hi)}
-            for x in pts:
+            inner = bp[bisect.bisect_right(bp, lo) : bisect.bisect_left(bp, hi)]
+            for x in (lo, hi, *inner):
                 line = intercept + slope * x
                 support_gap = max(support_gap, abs(agg.cdf(x).midpoint - line))
         checks.append(
@@ -265,6 +269,23 @@ def verify_linear_bounds(
 _DyadGrid = tuple[list[float], list[float], float]
 
 
+def _upper_envelope(
+    points: Iterable[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Upper concave envelope of points in increasing ``x``, by monotone
+    chain: drop the last vertex while the new point is on or above the
+    line through the last two."""
+    hull: list[tuple[float, float]] = []
+    for x, g in points:
+        while len(hull) >= 2:
+            (x0, g0), (x1, g1) = hull[-2], hull[-1]
+            if (x1 - x0) * (g - g0) < (g1 - g0) * (x - x0):
+                break
+            hull.pop()
+        hull.append((x, g))
+    return hull
+
+
 def _dyad_grid(aggregate: PiecewiseDensity) -> _DyadGrid:
     """Where an optimal dyad may sit, read once per aggregate.
 
@@ -279,9 +300,18 @@ def _dyad_grid(aggregate: PiecewiseDensity) -> _DyadGrid:
 
 
 def _envelope_dyad(
-    budget: float, aggregate: PiecewiseDensity, grid: _DyadGrid
+    budget: float,
+    aggregate: PiecewiseDensity,
+    grid: _DyadGrid,
+    shared: list[tuple[float, float]] | None = None,
 ) -> tuple[Dyad, float]:
-    """``best_dyad`` on a grid already read by ``_dyad_grid``."""
+    """``best_dyad`` on a grid already read by ``_dyad_grid``.
+
+    ``shared`` is the envelope of the whole grid with the point past the
+    support at ``end + 1``; a search that would build exactly that, at a
+    budget at most ``end`` with no grid point within ``EPS``, takes its
+    edge from it.
+    """
     budget = positive_finite("budget", budget)
     xs, gs, end = grid
     left = bisect.bisect_left(xs, budget - EPS)
@@ -292,24 +322,19 @@ def _envelope_dyad(
             f"below budget - EPS and one above budget + EPS"
         )
     right = bisect.bisect_right(xs, budget + EPS)
-    outside = itertools.chain(
-        zip(xs[:left], gs[:left]),
-        zip(xs[right:], gs[right:]),
-        ((top, aggregate.total_mass),),
-    )
-    # monotone chain: drop the last vertex while the new point is on or
-    # above the line through the last two, leaving the upper envelope
-    hull: list[tuple[float, float]] = []
-    for x, g in outside:
-        while len(hull) >= 2:
-            (x0, g0), (x1, g1) = hull[-2], hull[-1]
-            if (x1 - x0) * (g - g0) < (g1 - g0) * (x - x0):
-                break
-            hull.pop()
-        hull.append((x, g))
+    hull = shared
+    if hull is None or left < right or budget > end:
+        # the search drops grid points or moves the one past the support
+        hull = _upper_envelope(
+            itertools.chain(
+                zip(xs[:left], gs[:left]),
+                zip(xs[right:], gs[right:]),
+                ((top, aggregate.total_mass),),
+            )
+        )
     # every vertex is below budget - EPS or above budget + EPS, and both
     # sides are present, so exactly one edge spans the budget
-    k = next(k for k, (x, _) in enumerate(hull) if x > budget)
+    k = bisect.bisect_right(hull, budget, key=operator.itemgetter(0))
     dyad = Dyad(hull[k - 1][0], hull[k][0], budget)
     return dyad, dyad_payoff(dyad, aggregate) - aggregate.cdf(budget).midpoint
 
@@ -339,15 +364,21 @@ def worst_deviation(
 ) -> tuple[Dyad | None, float]:
     """Best dyad gain across all groups; the global deviation certificate.
 
-    The aggregate's grid is read once and shared by every group's search.
-    ``tol`` is accepted for call compatibility and is not read: the gain
-    comes back raw, and the caller compares it.
+    The aggregate's grid and the upper envelope of all of it are built
+    once.  A group with no grid point within ``EPS`` of its budget, and
+    its budget at most the support's end, searches exactly that point set,
+    so it takes its edge from the shared envelope by bisection; any other
+    group builds its own envelope, linear in the grid size.  ``tol`` is
+    accepted for call compatibility and is not read: the gain comes back
+    raw, and the caller compares it.
     """
-    grid = _dyad_grid(sol.aggregate)
+    xs, gs, end = grid = _dyad_grid(sol.aggregate)
+    past_end = ((end + 1.0, sol.aggregate.total_mass),)
+    shared = _upper_envelope(itertools.chain(zip(xs, gs), past_end))
     worst_dyad: Dyad | None = None
     worst_gain = -math.inf
     for g in sol.groups:
-        dyad, gain = _envelope_dyad(g.budget, sol.aggregate, grid)
+        dyad, gain = _envelope_dyad(g.budget, sol.aggregate, grid, shared)
         if gain > worst_gain:
             worst_dyad = dyad
             worst_gain = gain
@@ -362,8 +393,7 @@ def payoff_identity_check(sol: EquilibriumSolution, tol: float = EPS) -> float:
     pairwise outcome without computing it.  ``tol`` is accepted for call
     compatibility and is not read: the gap comes back raw for the caller."""
     worst = 0.0
-    for g in sol.groups:
-        payoff = win_prob(g.strategy.normalized(), sol.aggregate)
+    for g, payoff in zip(sol.groups, sol.payoffs):
         worst = max(worst, abs(payoff - sol.aggregate.cdf(g.budget).midpoint))
     return worst
 

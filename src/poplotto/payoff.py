@@ -9,10 +9,11 @@ grid of both break sets; no quadrature is involved.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
-from .density import PiecewiseDensity, refine
+from .density import EPS, PiecewiseDensity, refine
 
 # Slack allowed when checking that contest inputs carry unit mass.
 UNIT_MASS_TOL = 1e-6
@@ -66,33 +67,60 @@ def _require_unit_mass(dens: PiecewiseDensity, label: str) -> None:
         raise ValueError(f"{label} density must carry unit mass, has {mass!r}")
 
 
+def _kept(pts: list[float], i: int) -> int:
+    """The last index at or before ``i`` that ``refine`` keeps whatever
+    came before it: the first point, or one ``EPS`` clear of the point
+    before it.  The merge chain from there on is the whole grid's."""
+    while i > 0 and pts[i] - pts[i - 1] < EPS:
+        i -= 1
+    return i
+
+
 def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     """Probability that a draw from ``f`` beats a draw from ``h``, ties half.
 
     Both inputs must be normalized.  Exact per cell: within a cell the
     opponent's cumulative mass is linear, so the integral of ``f`` against
-    it is a rectangle plus a triangle.  When ``refine`` merges the largest
-    point into the last cell, ``f``'s mass past the last edge beats all of
-    ``h`` below it.
+    it is a rectangle plus a triangle.  ``f`` has a height only in cells
+    whose midpoints lie inside its breakpoints, so only a window of the
+    union grid is refined: from a point below ``f``'s first breakpoint
+    that every merge chain keeps, through the first point more than
+    ``2 * EPS`` past its last.  Its cells are the whole grid's there, read
+    in the same order.  When ``refine`` merges the largest point into the
+    last cell, ``f``'s mass past the last edge beats all of ``h`` below it.
     """
     _require_unit_mass(f, "first")
     _require_unit_mass(h, "second")
     pts = [*f.breakpoints, *h.breakpoints]
     for loc, _ in f.atoms + h.atoms:
         pts.append(loc)
-    edges, (f_heights,) = refine(pts, (f,))
+    pts.sort()
     total = 0.0
-    for lo, hi, f_height in zip(edges, edges[1:], f_heights):
-        if f_height <= 0.0:
-            continue
-        start = h.cdf(lo)
-        width = hi - lo
-        h_height = h.height_at(0.5 * (lo + hi))
-        total += f_height * (
-            start.inclusive * width + 0.5 * h_height * width * width
-        )
-    # unit mass means at least one point, so ``edges`` is never empty
-    top, last = max(pts), edges[-1]
+    bp = f.breakpoints
+    if bp:
+        # strictly below: where float spacing exceeds EPS, the midpoint of
+        # the cell ending on bp[0] can round onto it and read f; past
+        # 2 * EPS, the window's last kept edge lies past bp[-1] under any
+        # rounding, so the cell after it reads nothing of f
+        first = _kept(pts, max(bisect.bisect_left(pts, bp[0]) - 1, 0))
+        stop = bisect.bisect_right(pts, bp[-1] + 2.0 * EPS) + 1
+        edges, (f_heights,) = refine(pts[first:stop], (f,))
+        for lo, hi, f_height in zip(edges, edges[1:], f_heights):
+            if f_height <= 0.0:
+                continue
+            start = h.cdf(lo)
+            width = hi - lo
+            h_height = h.height_at(0.5 * (lo + hi))
+            total += f_height * (
+                start.inclusive * width + 0.5 * h_height * width * width
+            )
+    # unit mass means at least one point; the last kept edge ends the
+    # merge chain from the last point that every chain keeps
+    j = _kept(pts, len(pts) - 1)
+    top, last = pts[-1], pts[j]
+    for x in pts[j + 1 :]:
+        if x - last >= EPS:
+            last = x
     if last < top:
         tail = f.cdf(top).inclusive - f.cdf(last).inclusive
         total += tail * h.cdf(last).inclusive

@@ -24,11 +24,13 @@ loop re-checks both and reports the offending group on any drift.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .density import EPS, PiecewiseDensity, mixture
+from .payoff import win_prob
 
 # Safety net on the per-group mass and mean reconstruction inside solve;
 # unit tests pin the much tighter 1e-9 behaviour on top of this.
@@ -183,6 +185,14 @@ class EquilibriumSolution:
     @property
     def strategies(self) -> tuple[PiecewiseDensity, ...]:
         return tuple(g.strategy for g in self.groups)
+
+    @functools.cached_property
+    def payoffs(self) -> tuple[float, ...]:
+        """Each group's unit strategy played against the aggregate, built
+        on the first read and kept; the certificates share it."""
+        return tuple(
+            win_prob(g.strategy.normalized(), self.aggregate) for g in self.groups
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,7 +37,7 @@ from poplotto import (
     verify_subpop_consistency,
     worst_deviation,
 )
-from poplotto.payoff import dyad_payoff
+from poplotto.payoff import dyad_payoff, win_prob
 from poplotto.structure import league_rewire
 from tests import grid_oracles as oracle
 from tests.conftest import scaled_populations
@@ -297,6 +299,39 @@ def test_worst_deviation_reads_the_aggregate_once(monkeypatch):
     assert dyad is not None and gain <= 1e-12
 
 
+def _best_of_searches(sol: EquilibriumSolution) -> tuple[Dyad | None, float]:
+    """The first largest ``best_dyad`` gain over the groups, each search
+    building its own envelope."""
+    worst_dyad, worst_gain = None, -math.inf
+    for g in sol.groups:
+        dyad, gain = best_dyad(g.budget, sol.aggregate)
+        if gain > worst_gain:
+            worst_dyad, worst_gain = dyad, gain
+    return worst_dyad, worst_gain
+
+
+@given(scaled_populations())
+@settings(deadline=None, max_examples=60)
+def test_worst_deviation_matches_per_group_searches(dist):
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    assert worst_deviation(sol) == _best_of_searches(sol)
+
+
+def test_worst_deviation_searches_its_own_envelope_off_the_shared_one(pair_sol):
+    """A budget within EPS of an aggregate breakpoint drops that point, and
+    one past the support moves the point past it; each such group builds
+    its own envelope, as ``best_dyad`` does."""
+    agg = pair_sol.aggregate
+    kink, end = agg.breakpoints[1], agg.support[1]
+    for budget in (kink - 0.5 * EPS, kink + 0.5 * EPS, end + 0.5):
+        group = dataclasses.replace(pair_sol.groups[0], budget=budget)
+        sol = dataclasses.replace(pair_sol, groups=(group,))
+        assert worst_deviation(sol) == _best_of_searches(sol)
+
+
 def test_worst_deviation_certifies_fixture(pair_sol):
     dyad, gain = worst_deviation(pair_sol)
     assert dyad is not None
@@ -511,6 +546,38 @@ def test_subpop_consistency_never_mixes(
     for dist, sol in ((nine_dist, nine_sol), (near_tie_dist, rewired)):
         for check in verify_subpop_consistency(dist, sol, 1e-9):
             check.report.to_dict()
+
+
+def test_certificates_read_each_payoff_once(monkeypatch, nine_dist):
+    """``verify_nash``, ``verify_linear_bounds`` and ``payoff_identity_check``
+    share ``EquilibriumSolution.payoffs``: n contests, not 3n."""
+    calls = []
+
+    def counted(f, h):
+        calls.append(f)
+        return win_prob(f, h)
+
+    monkeypatch.setattr(solver, "win_prob", counted)
+    sol = solve(nine_dist)
+    assert not calls
+    verify_nash(sol, 1e-9)
+    verify_linear_bounds(sol, 1e-9)
+    payoff_identity_check(sol, 1e-9)
+    assert len(calls) == len(sol.groups) == 9
+
+
+def test_payoffs_belong_to_their_solution(near_tie_sol):
+    """A solution built from another, by ``league_rewire`` or
+    ``dataclasses.replace``, reads its own payoffs, not the cached ones."""
+    parent = near_tie_sol.payoffs
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+    flipped = dataclasses.replace(near_tie_sol, groups=near_tie_sol.groups[::-1])
+    for sol in (rewired, flipped):
+        assert sol.payoffs == tuple(
+            win_prob(g.strategy.normalized(), sol.aggregate) for g in sol.groups
+        )
+    assert flipped.payoffs == parent[::-1] != parent
+    assert near_tie_sol.payoffs is parent
 
 
 def test_certificates_never_call_the_solver(

@@ -15,7 +15,9 @@ all occur.
 from __future__ import annotations
 
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,3 +200,68 @@ def test_refine_reads_zero_outside_each_density():
     edges, heights = refine((0.0, 1.0, 2.0, 3.0), (low, high, PiecewiseDensity()))
     assert edges == [0.0, 1.0, 2.0, 3.0]
     assert heights == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+
+
+def _window_cases():
+    """Pairs whose union grid merges or rounds at an end of the window of
+    cells that ``win_prob`` refines for its first density."""
+    unit = 1.5e7
+    ulp = math.ulp(unit)
+    return {
+        # 1 is kept and 1 + 1.2 EPS is kept; between them h's atom, f's
+        # atom and f's first breakpoint merge into 1, so a window starting
+        # at any of them would keep it and cut the cells elsewhere
+        "chain across the first breakpoint": (
+            PiecewiseDensity((1.0 + 0.9 * EPS, 2.0), (1.0,), ((1.0 + 0.6 * EPS, 0.5),)),
+            PiecewiseDensity(
+                (0.0, 1.0, 1.0 + 1.2 * EPS, 3.0),
+                (0.25, 1.0, 0.3),
+                ((1.0 + 0.3 * EPS, 0.15),),
+            ),
+        ),
+        # the chain 1, f's last breakpoint, h's atom, 1 + 1.05 EPS, f's
+        # atom, 1 + 2.1 EPS runs past 1.7 EPS: f's last breakpoint merges
+        # into 1, and f reads its height up to the kept 1 + 1.05 EPS
+        "chain across the last breakpoint plus EPS": (
+            PiecewiseDensity((0.5, 1.0 + 0.7 * EPS), (1.0,), ((1.0 + 1.6 * EPS, 0.5),)),
+            PiecewiseDensity(
+                (0.0, 1.0, 1.0 + 1.05 * EPS, 1.0 + 2.1 * EPS, 3.0),
+                (0.25, 1.0, 0.9, 0.3),
+                ((1.0 + 0.9 * EPS, 0.15),),
+            ),
+        ),
+        # f's hull is the grid's top, which merges two points down the
+        # chain 1, 1 + 0.6 EPS, 1 + 1.2 EPS, 1 + 1.8 EPS
+        "hull reaching the merged top": (
+            PiecewiseDensity((0.5, 1.0 + 1.8 * EPS), (1.0,), ((1.0 + 1.2 * EPS, 0.5),)),
+            PiecewiseDensity(
+                (0.0, 1.0, 1.0 + 1.2 * EPS), (0.5, 1.0), ((1.0 + 0.6 * EPS, 0.5),)
+            ),
+        ),
+        # f's last atom at 1 lies past its segments and merges into h's
+        # kept 1 - 0.6 EPS; h's atom at 1 + 1.3 EPS, the top, merges into
+        # h's kept 1 + 0.5 EPS.  f's inclusive mass at that last edge and
+        # at the top differ by one rounding, so the tail term reads 1.1e-16
+        "atom past the segments": (
+            PiecewiseDensity((0.0, 0.5), (0.6,), ((0.3, 0.35), (1.0, 0.35))),
+            PiecewiseDensity(
+                (0.0, 1.0 - 0.6 * EPS, 1.0 + 0.5 * EPS),
+                (0.5, 1.0),
+                ((1.0 + 1.3 * EPS, 0.5),),
+            ),
+        ),
+        # float spacing 1.9e-9 exceeds EPS at this unit, so every point is
+        # kept and the midpoint of the cell below f's first breakpoint
+        # rounds onto it: f reads its first height there
+        "float spacing past EPS": (
+            PiecewiseDensity.uniform(unit + 2 * ulp, unit + 4 * ulp),
+            PiecewiseDensity.uniform(unit + ulp, unit + 3 * ulp),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_window_cases()))
+def test_win_prob_window_matches_reference(name):
+    f, h = (d.normalized() for d in _window_cases()[name])
+    for a, b in ((f, h), (h, f)):
+        assert same(win_prob(a, b), oracle.win_prob(a, b))
