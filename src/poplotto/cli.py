@@ -27,13 +27,13 @@ from pathlib import Path
 from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consistency
 from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError, solve
 from .structure import (
+    DICE_TRIPLE,
     LeaguePartition,
     _rewire,
     dice_to_population,
     export_digraph,
     leagues,
     outcome_matrix,
-    search_dice_triple,
     step_samples_csv,
     sub_leagues,
     transitivity_report,
@@ -160,7 +160,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
 
 def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
     if args.input is None:
-        dice = search_dice_triple()
+        dice = DICE_TRIPLE
     else:
         data = _read_json(args.input)
         if "dice" not in data:
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "input",
         nargs="?",
         default=None,
-        help="JSON with {'dice': [[faces], ...]}; omit for the searched triple",
+        help="JSON with {'dice': [[faces], ...]}; omit for the built-in triple",
     )
     p.set_defaults(run=_cmd_dice)
 

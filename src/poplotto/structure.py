@@ -425,6 +425,11 @@ def _blocks(W: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(reach[:-1] < pos[1:]) + 1)
 
 
+# Each value 1..9 on two faces, 30 pips per die, and die k beats die k+1
+# (mod 3) in 20 of 36 face pairs: a non-transitive cycle at 5/9.
+DICE_TRIPLE = ((1, 1, 6, 6, 8, 8), (3, 3, 5, 5, 7, 7), (2, 2, 4, 4, 9, 9))
+
+
 def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     """Embed dice as a population: face v becomes a flat block on [v-1, v].
 
@@ -444,12 +449,11 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     groups = []
     for die in dice:
         for v in die:
-            try:
-                whole = isinstance(v, numbers.Real) and v >= 1 and float(v).is_integer()
-            except OverflowError:
-                raise ValueError("face values must fit in a float") from None
-            if not whole:
-                raise ValueError(f"face values must be integers >= 1, got {v!r}")
+            # up to 2**53 a float holds both v and v - 1 exactly
+            if not (
+                isinstance(v, numbers.Real) and 1 <= v <= 2**53 and float(v).is_integer()
+            ):
+                raise ValueError(f"face values must be integers 1..2**53, got {v!r}")
         strategy = mixture(
             [
                 (share / faces, PiecewiseDensity.uniform(float(v) - 1.0, float(v)))
@@ -459,61 +463,6 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
         groups.append(SubPopulation(strategy.mean(), share, strategy))
     aggregate = mixture([(1.0, g.strategy) for g in groups])
     return EquilibriumSolution(tuple(groups), aggregate)
-
-
-def _face_wins(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(1 for x in a for y in b if x > y)
-
-
-def search_dice_triple() -> tuple[tuple[int, ...], ...]:
-    """Brute-force a non-transitive triple of 30-pip six-sided dice.
-
-    Assigns both copies of each value 1..9 to one of three dice, three
-    values per die summing to 15, and returns the first assignment (in
-    lexicographic order) whose dice beat each other cyclically with
-    probability exactly 20/36.  The result is deterministic.
-    """
-    values = list(range(1, 10))
-    assignment: list[int] = []
-
-    def backtrack(pos: int, counts: list[int], sums: list[int]):
-        if pos == len(values):
-            dice = tuple(
-                tuple(
-                    sorted(
-                        v for v, d in zip(values, assignment) for _ in range(2) if d == die
-                    )
-                )
-                for die in range(3)
-            )
-            for order in ((0, 1, 2), (0, 2, 1)):
-                a, b, c = (dice[t] for t in order)
-                if (
-                    _face_wins(a, b) * 36 == 20 * len(a) * len(b)
-                    and _face_wins(b, c) * 36 == 20 * len(b) * len(c)
-                    and _face_wins(c, a) * 36 == 20 * len(c) * len(a)
-                ):
-                    return (a, b, c)
-            return None
-        value = values[pos]
-        for die in range(3):
-            if counts[die] == 3 or sums[die] + value > 15:
-                continue
-            assignment.append(die)
-            counts[die] += 1
-            sums[die] += value
-            hit = backtrack(pos + 1, counts, sums)
-            if hit:
-                return hit
-            assignment.pop()
-            counts[die] -= 1
-            sums[die] -= value
-        return None
-
-    triple = backtrack(0, [0, 0, 0], [0, 0, 0])
-    if triple is None:
-        raise RuntimeError("no cyclic triple exists under these constraints")
-    return triple
 
 
 def _patched(
@@ -709,7 +658,7 @@ def _rewire(
             break
         value, current = best
         if (value - 0.5) * (before[ti, tj] - 0.5) < 0.0 and abs(value - 0.5) > tol:
-            return current, before, _replayed(before, sol, current)
+            break
     if current is not sol:
         after, _, shifts = judge(current)
         if shifts:

@@ -10,7 +10,7 @@ from hypothesis import reject
 from hypothesis import strategies as st
 
 from poplotto import DiscreteBudgetDistribution, SolverError, solve
-from poplotto.structure import dice_to_population, search_dice_triple
+from poplotto.structure import DICE_TRIPLE, dice_to_population
 
 
 def budget_rows(*rows: tuple[float, float]) -> DiscreteBudgetDistribution:
@@ -121,7 +121,7 @@ def nine_sol(nine_dist):
 
 @pytest.fixture(scope="session")
 def dice_triple():
-    return search_dice_triple()
+    return DICE_TRIPLE
 
 
 @pytest.fixture(scope="session")

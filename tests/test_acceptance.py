@@ -27,10 +27,10 @@ from poplotto import (
     worst_deviation,
 )
 from poplotto.structure import (
+    DICE_TRIPLE,
     dice_to_population,
     league_rewire,
     outcome_matrix,
-    search_dice_triple,
     transitivity_report,
 )
 from tests.conftest import NINE_ROWS, budget_rows
@@ -170,7 +170,7 @@ def test_criterion_4_budget_order_and_transitivity():
 
 
 def test_criterion_5_dice_embedding():
-    pop = dice_to_population(search_dice_triple())
+    pop = dice_to_population(DICE_TRIPLE)
     W = outcome_matrix(pop).probs
     cycle = max(
         abs(W[0, 1] - 5 / 9), abs(W[1, 2] - 5 / 9), abs(W[2, 0] - 5 / 9)
@@ -228,7 +228,7 @@ def test_criterion_7_establishment_counterexample():
 
 
 def test_criterion_8_league_rewiring():
-    dice = dice_to_population(search_dice_triple())
+    dice = dice_to_population(DICE_TRIPLE)
     before = outcome_matrix(dice).probs
     rewired = league_rewire(dice, 0, seed=0)
     after = outcome_matrix(rewired).probs

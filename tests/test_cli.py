@@ -205,7 +205,7 @@ def test_analyze_pours_each_group_once(capsys, monkeypatch):
     assert poured == [1.0, 1.05, 1.1, 5.0, 5.2, 5.4, 5.6, 7.0, 13.0]
 
 
-def test_dice_defaults_to_searched_triple(capsys):
+def test_dice_defaults_to_builtin_triple(capsys):
     assert main(["dice"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -338,6 +338,12 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         assert main(["verify", str(path)]) == 1, name
     for dice in ([[1.5, 2], [3, 4]], [1, 2], 5, [[1, None]], [[1, "2"]]):
         assert main(["dice", write_json(tmp_path, "dice.json", {"dice": dice})]) == 1
+    capsys.readouterr()
+    # past 2**53 a float rounds the face or its lower edge v - 1
+    for face in (2**53 + 1, 2**53 + 2, 1e300):
+        dice = {"dice": [[1, face], [2, 3]]}
+        assert main(["dice", write_json(tmp_path, "dice.json", dice)]) == 1, face
+        assert "face values must be integers 1..2**53" in capsys.readouterr().err
     # strategies 0 and 8 of nine_rows swapped: linear bounds fail at the
     # default tolerance, and a non-finite one must not wave them through
     assert main(["solve", str(DATA / "nine_rows.json"), "--out", str(solution)]) == 0

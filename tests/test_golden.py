@@ -3,9 +3,11 @@
 ``golden_sha256.json`` pins the sha256 of every ``solve``, ``verify``,
 ``analyze``, ``export`` (json and dot) and ``dice`` document, of every
 ``solve --format csv`` document, of four ``rewire --seed 0`` documents,
-which carry prefix verdicts, and of one ``rewire --format csv`` document.
-The csv and dot keys carry the format after the command, and the rewire
-keys of a league other than 0 carry ``league-k``.  The four rewires end in
+which carry prefix verdicts, of one ``rewire --format csv`` document, and
+of the ``dice`` document of the built-in triple, read with no input.
+The csv and dot keys carry the format after the command, the rewire
+keys of a league other than 0 carry ``league-k``, and the built-in dice
+key is ``dice-builtin/dice``.  The four rewires end in
 four different ways: a grid flip (near_tie league 0), the fallback
 (nine_rows league 0), a warm-start flip (flooding league 4) and a grid
 move (flooding league 6).  A change that moves any of them changes what
@@ -40,7 +42,10 @@ def documents(name: str, workdir: Path) -> dict[str, tuple[list[str], Path]]:
     keyed ``command/name`` in run order: verify reads what solve wrote."""
     src = str(DATA / f"{name}.json")
     if name in DICE:
-        return {f"dice/{name}": (["dice", src], workdir / "dice.json")}
+        return {
+            f"dice/{name}": (["dice", src], workdir / "dice.json"),
+            f"dice-builtin/{name}": (["dice"], workdir / "builtin.json"),
+        }
     solution = workdir / f"{name}.solution.json"
     commands = {
         f"solve/{name}": (["solve", src], solution),

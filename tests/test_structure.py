@@ -39,7 +39,6 @@ from poplotto.structure import (
     league_rewire,
     leagues,
     outcome_matrix,
-    search_dice_triple,
     step_samples_csv,
     sub_leagues,
     transitivity_report,
@@ -551,10 +550,17 @@ def test_lopsided_dice_are_not_an_equilibrium():
     assert report.monotone_violation == pytest.approx(1 / 18, abs=1e-12)
 
 
-def test_search_dice_triple_pinned(dice_triple):
-    assert dice_triple == ((1, 1, 6, 6, 8, 8), (3, 3, 5, 5, 7, 7), (2, 2, 4, 4, 9, 9))
+def test_dice_triple_is_a_thirty_pip_cycle(dice_triple):
+    """Counted from the faces: nine values twice each, 30 pips per die, and
+    each die beats the next in 20 of 36 face pairs."""
+    assert len(dice_triple) == 3
     assert all(len(die) == 6 for die in dice_triple)
     assert all(sum(die) == 30 for die in dice_triple)
+    faces = [v for die in dice_triple for v in die]
+    assert sorted(faces) == sorted(list(range(1, 10)) * 2)
+    for k in range(3):
+        die, next_die = dice_triple[k], dice_triple[(k + 1) % 3]
+        assert sum(x > y for x in die for y in next_die) == 20
 
 
 def test_rewire_dice_reverses_the_cycle(dice_pop):
