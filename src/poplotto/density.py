@@ -6,7 +6,8 @@ interior breakpoint belongs to the segment on its right.  Cumulative queries
 report the mass strictly below a point and the mass sitting exactly on it
 separately, which is what tie-splitting payoffs need.
 
-Construction canonicalizes the representation: breakpoints closer than
+Construction canonicalizes the representation: breakpoints and atom
+locations within ``EPS`` below zero move onto zero, breakpoints closer than
 ``EPS`` are merged, the resulting zero-width segments are dropped,
 zero-height edge segments are trimmed, adjacent segments of identical
 height are coalesced, and coincident atoms are pooled.  Instances are
@@ -30,6 +31,14 @@ if TYPE_CHECKING:
 
 # Absolute tolerance shared by every geometric comparison in the package.
 EPS = 1e-9
+
+
+def as_float(name: str, value: object) -> float:
+    """A document value read as a number; ``float`` would also read a
+    string or a boolean, and neither is one."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,8 @@ def _clean_segments(
             raise ValueError("breakpoints must be increasing")
     if bp[0] < -EPS:
         raise ValueError("breakpoints must be non-negative")
+    if bp[0] < 0.0:
+        bp = [max(x, 0.0) for x in bp]
     for h in hs:
         if h < -EPS:
             raise ValueError("heights must be non-negative")
@@ -246,16 +257,8 @@ class PiecewiseDensity:
 
     def support_runs(self) -> list[tuple[float, float]]:
         """Maximal intervals of positive height, atoms as zero-width runs."""
-        runs: list[tuple[float, float]] = []
-        for lo, hi, h in self.segments():
-            if h <= 0.0:
-                continue
-            if runs and abs(runs[-1][1] - lo) <= EPS:
-                runs[-1] = (runs[-1][0], hi)
-            else:
-                runs.append((lo, hi))
-        for loc, _ in self.atoms:
-            runs.append((loc, loc))
+        runs = [(lo, hi) for lo, hi, h in self.segments() if h > 0.0]
+        runs += [(loc, loc) for loc, _ in self.atoms]
         runs.sort()
         merged: list[tuple[float, float]] = []
         for lo, hi in runs:
@@ -322,10 +325,11 @@ class PiecewiseDensity:
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseDensity":
         try:
-            bp = tuple(float(x) for x in data["breakpoints"])
-            hs = tuple(float(h) for h in data["heights"])
+            bp = tuple(as_float("breakpoint", x) for x in data["breakpoints"])
+            hs = tuple(as_float("height", h) for h in data["heights"])
             atoms = tuple(
-                (float(a[0]), float(a[1])) for a in data.get("atoms", ())
+                (as_float("atom location", a[0]), as_float("atom mass", a[1]))
+                for a in data.get("atoms", ())
             )
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed density record: {exc}") from exc

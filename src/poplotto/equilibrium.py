@@ -454,13 +454,6 @@ def verify_subpop_consistency(
     pooled = np.add.accumulate(pooled[:, : len(locs)]) * scale
     at_zero = bisect.bisect_right(locs, EPS)
     cdf_at_zero = pooled[:, :at_zero].sum(axis=1)
-    if edges and edges[0] < 0.0:
-        # cdf(0) also counts segment mass below zero, from where the
-        # prefix's first segment starts
-        first = [s.breakpoints[0] if s.breakpoints else math.inf for s in strategies]
-        left = np.maximum(edges[:-1], np.minimum.accumulate(first)[:, None])
-        below = np.maximum(np.minimum(edges[1:], 0.0) - left, 0.0)
-        cdf_at_zero = (heights * below).sum(axis=1) + cdf_at_zero
     monotone = np.maximum(rise, pooled[:, at_zero:].max(axis=1, initial=0.0))
 
     # flat[k, j]: group k's flatness at prefix j >= k, read on the cells

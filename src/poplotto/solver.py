@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .density import EPS, PiecewiseDensity, mixture
+from .density import EPS, PiecewiseDensity, as_float, mixture
 from .payoff import win_prob
 
 # Safety net on the per-group mass and mean reconstruction inside solve;
@@ -46,7 +46,7 @@ class SolverError(RuntimeError):
 
 
 def positive_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = as_float(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -114,7 +114,7 @@ class DiscreteBudgetDistribution:
     def from_dict(cls, data: dict) -> "DiscreteBudgetDistribution":
         try:
             rows = tuple(
-                (float(row["budget"]), float(row["mass"]))
+                (as_float("budget", row["budget"]), as_float("mass", row["mass"]))
                 for row in data["subpopulations"]
             )
         except (KeyError, TypeError, OverflowError) as exc:

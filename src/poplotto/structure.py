@@ -450,7 +450,7 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
     for die in dice:
         for v in die:
             # up to 2**53 a float holds both v and v - 1 exactly
-            if not (
+            if isinstance(v, bool) or not (
                 isinstance(v, numbers.Real) and 1 <= v <= 2**53 and float(v).is_integer()
             ):
                 raise ValueError(f"face values must be integers 1..2**53, got {v!r}")
@@ -496,7 +496,10 @@ def _slice_swap(
     makes the exchange conserve both mass and mean for both groups, and
     the two deltas cancel so the aggregate is untouched.  A slice whose
     left edge rounds below zero starts at zero, so no strategy gains a
-    negative breakpoint.
+    negative breakpoint.  The clamp stays although construction moves a
+    start within ``EPS`` below zero onto zero: at large budgets the
+    rounding goes past ``EPS`` (to -6.1e-5 on a three-group near tie
+    scaled by 1e12), and construction refuses such a start.
     """
     cells = [
         (max(mid - 0.5 * width, 0.0), mid + 0.5 * width)

@@ -16,6 +16,9 @@ running mixture it kept before it read every prefix off one cumulative sum
 on a shared grid, and ``best_dyad_scan`` is the pair scan ``best_dyad`` ran
 before it read the best dyad off the upper concave envelope;
 ``tests/test_equilibrium.py`` compares each with its rewrite.
+``support_runs`` is the two-pass loop ``PiecewiseDensity.support_runs``
+ran before it merged once: it joined touching segments first and merged
+them with the atoms after; ``tests/test_density.py`` compares the two.
 ``outcome_matrix`` plays every contest, and ``transitivity_report`` audits
 the whole matrix as one block, as the package did before it settled
 contests whose hulls do not meet and audited the blocks of the matrix one
@@ -289,6 +292,29 @@ def best_dyad_scan(budget: float, aggregate: PiecewiseDensity) -> tuple[Dyad, fl
                 best_value = value
     assert best is not None, "no grid pair straddles the budget"
     return best, best_value - baseline
+
+
+def support_runs(d: PiecewiseDensity) -> list[tuple[float, float]]:
+    """Positive segments joined across edges within EPS, then sorted with
+    the atoms as zero-width runs and merged once more."""
+    runs: list[tuple[float, float]] = []
+    for lo, hi, h in d.segments():
+        if h <= 0.0:
+            continue
+        if runs and abs(runs[-1][1] - lo) <= EPS:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    for loc, _ in d.atoms:
+        runs.append((loc, loc))
+    runs.sort()
+    merged: list[tuple[float, float]] = []
+    for lo, hi in runs:
+        if merged and lo <= merged[-1][1] + EPS:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:

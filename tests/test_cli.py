@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 import poplotto
-from poplotto import EquilibriumSolution, SolverError, solver
+from poplotto import (
+    EquilibriumSolution,
+    SolverError,
+    solver,
+    verify_linear_bounds,
+    verify_nash,
+)
 from poplotto.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -327,6 +333,11 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         "nan_budget": lambda d: d["subpopulations"][0].update(budget=float("nan")),
         "huge_budget": lambda d: d["subpopulations"][0].update(budget=float("inf")),
         "negative_mass": lambda d: d["subpopulations"][1].update(mass=-0.5),
+        "string_budget": lambda d: d["subpopulations"][0].update(budget="1"),
+        "boolean_mass": lambda d: d["subpopulations"][1].update(mass=True),
+        "string_breakpoints": lambda d: d["strategies"][0].update(
+            breakpoints="02", heights="1"
+        ),
     }
     for name, spoil in malformed.items():
         doc = json.loads(json.dumps(good))
@@ -339,6 +350,23 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     for dice in ([[1.5, 2], [3, 4]], [1, 2], 5, [[1, None]], [[1, "2"]]):
         assert main(["dice", write_json(tmp_path, "dice.json", {"dice": dice})]) == 1
     capsys.readouterr()
+    # float() reads a string or a boolean as a number; a document may not
+    typed = {
+        "budget": [{"budget": "1.5", "mass": True}],
+        "mass": [{"budget": 1.5, "mass": True}],
+    }
+    for field, rows in typed.items():
+        src = write_json(tmp_path, "typed.json", {"subpopulations": rows})
+        assert main(["solve", src]) == 1, field
+        assert f"error: {field} must be a number" in capsys.readouterr().err
+    for name in ("string_budget", "boolean_mass", "string_breakpoints"):
+        proc = run_cli("verify", str(tmp_path / f"{name}.json"))
+        assert proc.returncode == 1, name
+        assert "must be a number" in proc.stderr, name
+        assert "Traceback" not in proc.stderr, name
+    dice = write_json(tmp_path, "dice.json", {"dice": [[True, 2], [2, 1]]})
+    assert main(["dice", dice]) == 1
+    assert "got True" in capsys.readouterr().err
     # past 2**53 a float rounds the face or its lower edge v - 1
     for face in (2**53 + 1, 2**53 + 2, 1e300):
         dice = {"dice": [[1, face], [2, 3]]}
@@ -407,6 +435,21 @@ def test_verify_refuses_a_negative_breakpoint(tmp_path, capsys):
     doc["strategies"][0] = {"breakpoints": [-1.0, 2.0], "heights": [0.5], "atoms": []}
     assert main(["verify", write_json(tmp_path, "negative.json", doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_summary_reads_both_certificates(tmp_path, capsys):
+    """The JSON document's worst violation is the worse of its two reports,
+    as ``verify`` reads them back; CSV writes no linear bounds and reads
+    nash alone."""
+    rows = [{"budget": 1, "mass": 1}, {"budget": 2, "mass": 1e-8}]
+    src = write_json(tmp_path, "light.json", {"subpopulations": rows})
+    assert main(["solve", src]) == 0
+    captured = capsys.readouterr()
+    sol = EquilibriumSolution.from_dict(json.loads(captured.out))
+    nash, linear = verify_nash(sol), verify_linear_bounds(sol)
+    assert f"worst violation: {max(nash.worst(), linear.worst()):.3e}\n" in captured.err
+    assert main(["solve", src, "--format", "csv"]) == 0
+    assert f"worst violation: {nash.worst():.3e}\n" in capsys.readouterr().err
 
 
 def test_invalid_arguments_exit_one(tmp_path, capsys):

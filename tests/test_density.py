@@ -22,6 +22,7 @@ from poplotto import (
     verify_subpop_consistency,
     win_prob,
 )
+from tests import grid_oracles as oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +115,18 @@ def test_canonicalization():
     # coincident atoms pool at the leftmost location, zero-mass atoms drop
     d = PiecewiseDensity((), (), ((1.0, 0.2), (1.0 + 1e-12, 0.3), (2.0, 0.0)))
     assert d.atoms == ((1.0, 0.5),)
+
+
+def test_locations_just_below_zero_move_onto_zero():
+    """A segment start within EPS below zero moves onto zero as an atom
+    there does, and drops its sliver below zero; one further below is
+    refused."""
+    d = PiecewiseDensity((-5e-10, 2.0), (0.5,))
+    assert d.breakpoints == (0.0, 2.0)
+    assert d.total_mass == 1.0
+    assert PiecewiseDensity((), (), ((-5e-10, 1.0),)).atoms == ((0.0, 1.0),)
+    with pytest.raises(ValueError, match="non-negative"):
+        PiecewiseDensity((-2e-9, 2.0), (0.5,))
 
 
 def test_zero_density():
@@ -255,6 +268,17 @@ def test_dict_roundtrip_is_exact():
     assert PiecewiseDensity.from_dict(d.to_dict()) == d
     with pytest.raises(ValueError):
         PiecewiseDensity.from_dict({"heights": [1.0]})
+    # numpy floats are numbers; strings and booleans are not, though
+    # ``float`` reads both
+    record = {"breakpoints": list(np.array([0.0, 2.0])), "heights": [np.float32(0.5)]}
+    assert PiecewiseDensity.from_dict(record) == PiecewiseDensity.uniform(0.0, 2.0)
+    for record in (
+        {"breakpoints": "02", "heights": "1"},
+        {"breakpoints": [0.0, True], "heights": [1.0]},
+        {"breakpoints": [0.0, 1.0], "heights": [1.0], "atoms": [["0.5", 1.0]]},
+    ):
+        with pytest.raises(ValueError, match="must be a number"):
+            PiecewiseDensity.from_dict(record)
 
 
 def test_sample_matches_distribution():
@@ -312,3 +336,34 @@ def test_canonical_form_is_idempotent(d):
     again = PiecewiseDensity(d.breakpoints, d.heights, d.atoms)
     assert again == d
     assert PiecewiseDensity.from_dict(d.to_dict()) == d
+
+
+@st.composite
+def gapped_densities(draw):
+    """Positive blocks apart by zero-height gaps of none, EPS, 1.5 EPS or
+    2 EPS, the widths where two runs start or stop merging, and atoms at
+    and within EPS of the block ends."""
+    bp = [draw(st.floats(0.0, 2.0))]
+    heights: list[float] = []
+    for _ in range(draw(st.integers(1, 5))):
+        gap = draw(st.sampled_from([0.0, EPS, 1.5 * EPS, 2.0 * EPS]))
+        if gap:
+            bp.append(bp[-1] + gap)
+            heights.append(0.0)
+        bp.append(bp[-1] + draw(st.floats(0.1, 2.0)))
+        heights.append(draw(st.floats(0.1, 3.0)))
+    offsets = st.sampled_from([-EPS, -0.5 * EPS, 0.0, 0.5 * EPS, EPS])
+    atoms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bp), offsets, st.floats(0.1, 1.0)),
+            max_size=4,
+        )
+    )
+    atoms = [(end + offset, mass) for end, offset, mass in atoms]
+    return PiecewiseDensity(tuple(bp), tuple(heights), tuple(atoms))
+
+
+@given(gapped_densities())
+@settings(deadline=None, max_examples=200)
+def test_support_runs_merge_once_as_the_two_pass_loop(d):
+    assert d.support_runs() == oracle.support_runs(d)

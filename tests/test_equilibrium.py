@@ -161,6 +161,15 @@ def test_best_dyad_exploits_convex_curve():
     assert gain == pytest.approx(0.3, abs=1e-12)
 
 
+def test_dyad_certificates_read_a_start_just_below_zero():
+    """A density starting within EPS below zero starts at zero, so its grid
+    has zero as the low point of the dyad over the budget."""
+    agg = PiecewiseDensity((-5e-10, 2.0), (0.5,))
+    sol = EquilibriumSolution((SubPopulation(1.0, 1.0, agg),), agg)
+    assert best_dyad(1.0, agg) == (Dyad(0.0, 2.0, 1.0), 0.0)
+    assert worst_deviation(sol) == (Dyad(0.0, 2.0, 1.0), 0.0)
+
+
 def test_best_dyad_rejects_bad_budget():
     agg = PiecewiseDensity.uniform(0.0, 2.0)
     with pytest.raises(ValueError):
@@ -457,10 +466,12 @@ def test_subpop_consistency_matches_running_mixture(dist):
 def _atom_solution() -> tuple[DiscreteBudgetDistribution, EquilibriumSolution]:
     """Hand-built strategies with atoms: one at zero, one inside the first
     group's hull, two within EPS of each other that pool, and one that
-    stretches the last hull past the end of every breakpoint."""
+    stretches the last hull past the end of every breakpoint.  The first
+    two strategies start within EPS below zero, which construction moves
+    onto zero, so no prefix counts mass below zero at zero."""
     strategies = (
-        PiecewiseDensity((0.0, 1.0), (0.5,), ((0.0, 0.1),)),
-        PiecewiseDensity((0.0, 2.0), (0.4,), ((0.5, 0.2),)),
+        PiecewiseDensity((-0.5 * EPS, 1.0), (0.5,), ((0.0, 0.1),)),
+        PiecewiseDensity((-EPS, 2.0), (0.4,), ((0.5, 0.2),)),
         PiecewiseDensity((1.7, 2.0), (1.0,), ((1.5, 0.3),)),
         PiecewiseDensity((2.0, 3.0), (0.5,), ((1.5 + 0.5 * EPS, 0.9), (4.0, 0.2))),
     )
