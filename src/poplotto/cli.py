@@ -11,7 +11,10 @@ nothing at random.
 
 Exit codes: 0 success, 1 invalid input or arguments or output that
 cannot be written (an unwritable ``--out``, a closed standard output),
-2 verification failed, 3 solver failure.
+2 verification failed, 3 solver failure.  ``verify`` exits 2 when either
+report fails, and so does ``solve`` on a report it writes: ``nash`` and
+``linear_bounds`` for JSON, ``nash`` alone for CSV, which writes no
+reports but summarises ``nash``.  The document is written either way.
 """
 
 from __future__ import annotations
@@ -98,12 +101,12 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[str, list[str], int]:
     sol = solve(dist)
     nash = verify_nash(sol, args.tol)
     part = leagues(sol, args.tol)
-    worst = nash.worst()
+    worst, ok = nash.worst(), nash.passed
     if args.format == "csv":
         machine = step_samples_csv(sol)
     else:
         linear = verify_linear_bounds(sol, args.tol)
-        worst = max(worst, linear.worst())
+        worst, ok = max(worst, linear.worst()), ok and linear.passed
         reports = {
             "nash": nash.to_dict(),
             "linear_bounds": linear.to_dict(),
@@ -112,7 +115,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[str, list[str], int]:
         machine = json.dumps({**sol.to_dict(), "reports": reports}, indent=2) + "\n"
     summary = _league_lines(part, sol.budgets)
     summary.append(f"worst violation: {worst:.3e}")
-    return machine, summary, 0
+    return machine, summary, 0 if ok else 2
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:

@@ -336,6 +336,16 @@ class PiecewiseDensity:
         return cls(bp, hs, atoms)
 
 
+def _cell_edges(points: Iterable[float]) -> list[float]:
+    """The points sorted, each within ``EPS`` of the last kept dropped."""
+    edges = sorted(points)
+    kept = edges[:1]
+    for x in edges[1:]:
+        if x - kept[-1] >= EPS:
+            kept.append(x)
+    return kept
+
+
 def refine(
     points: Iterable[float], densities: Sequence[PiecewiseDensity]
 ) -> tuple[list[float], list[list[float]]]:
@@ -347,11 +357,7 @@ def refine(
     midpoint, read only at the midpoints inside its breakpoints and
     written as the 0.0 it returns everywhere else.
     """
-    edges = sorted(points)
-    kept = edges[:1]
-    for x in edges[1:]:
-        if x - kept[-1] >= EPS:
-            kept.append(x)
+    kept = _cell_edges(points)
     mids = [0.5 * (lo + hi) for lo, hi in zip(kept, kept[1:])]
     rows = [[0.0] * len(mids) for _ in densities]
     for row, dens in zip(rows, densities):
@@ -401,3 +407,26 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
     # one builtin sum per cell, parts in order: the order shows in output bytes
     heights = [sum(map(operator.mul, weights, cell)) for cell in zip(*rows)]
     return PiecewiseDensity(tuple(edges), tuple(heights), tuple(atoms))
+
+
+def stack(pieces: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
+    """Sum of constant-height float pieces ``(lo, hi, height)``, built once.
+
+    Bit for bit the unit-weight ``mixture`` of the one-segment densities
+    ``PiecewiseDensity((lo, hi), (height,))``, raising what they raise:
+    each piece is checked and cleaned by that constructor's rules, the
+    kept pieces' ends are cut by ``refine``'s cell rule, and each cell
+    sums, in piece order, the heights of the pieces whose ends hold its
+    midpoint.
+    """
+    kept = []
+    for lo, hi, h in pieces:
+        bp, hs = _clean_segments((lo, hi), (h,))
+        if hs:
+            kept.append((*bp, *hs))
+    edges = _cell_edges([x for lo, hi, _ in kept for x in (lo, hi)])
+    heights = []
+    for left, right in zip(edges, edges[1:]):
+        mid = 0.5 * (left + right)
+        heights.append(sum([h for lo, hi, h in kept if lo <= mid <= hi]))
+    return PiecewiseDensity(tuple(edges), tuple(heights))

@@ -15,8 +15,12 @@ On top of these, ``best_dyad`` searches for the most profitable two-point
 deviation directly, and ``verify_subpop_consistency`` re-certifies every
 budget-truncated prefix of the population, all prefixes at once from one
 cumulative sum of the strategies' heights on a shared grid; a prefix's
-report is built only when read.  All failures are report content, not
-exceptions; tolerances are absolute.  numpy is imported inside
+report is built only when read.  That grid, ``EquilibriumSolution.cells``,
+is one ``refine`` of every strategy on all their breakpoints, built on
+first read and kept: ``verify_nash`` sums it cell by cell into the
+strategies' mixture, so a solution's strategies are refined once for
+both certificates.  All failures are report content, not exceptions;
+tolerances are absolute.  numpy is imported inside
 ``verify_subpop_consistency``, so importing this module does not load it.
 """
 
@@ -30,7 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
+from .density import EPS, PiecewiseDensity, step_gap
 from .payoff import Dyad, dyad_payoff
 from .solver import EquilibriumSolution, DiscreteBudgetDistribution
 from .solver import positive_finite
@@ -188,7 +192,13 @@ def verify_nash(sol: EquilibriumSolution, tol: float = EPS) -> EquilibriumReport
     Each group's payoff against the aggregate is reported alongside.
     """
     agg = sol.aggregate
-    blended = mixture([(1.0, g.strategy) for g in sol.groups])
+    edges, rows = sol.cells
+    # the strategies' unit-weight mixture, summed cell by cell as ``mixture`` sums
+    blended = PiecewiseDensity(
+        edges,
+        tuple(map(sum, zip(*rows))),
+        tuple(atom for s in sol.strategies for atom in s.atoms),
+    )
     checks = tuple(
         GroupCheck(
             budget=g.budget,
@@ -405,7 +415,7 @@ def verify_subpop_consistency(
 
     The prefix keeping the ``j`` lowest budgets has as aggregate the sum of
     their strategies renormalized to unit mass.  Every strategy is read
-    once onto one shared grid, ``refine`` of all their breakpoints, so one
+    once onto one shared grid, ``EquilibriumSolution.cells``, so one
     cumulative sum over the groups, divided by the running mass share,
     gives every prefix aggregate at once, cell for cell the heights a
     running mixture of the strategies would hold.  Atoms are pooled across
@@ -429,8 +439,8 @@ def verify_subpop_consistency(
             raise ValueError("distribution budgets do not match the solution")
     groups = sol.groups
     n = len(groups)
-    strategies = [g.strategy for g in groups]
-    edges, rows = refine([x for s in strategies for x in s.breakpoints], strategies)
+    strategies = sol.strategies
+    edges, rows = sol.cells
     # times 1 / share, not divided by it, as ``scaled`` does to a mixture
     scale = (1.0 / np.add.accumulate([g.mass for g in groups]))[:, None]
     heights = np.add.accumulate(np.array(rows)) * scale

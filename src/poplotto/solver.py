@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .density import EPS, PiecewiseDensity, as_float, mixture
+from .density import EPS, PiecewiseDensity, as_float, refine, stack
 from .payoff import win_prob
 
 # Safety net on the per-group mass and mean reconstruction inside solve;
@@ -194,6 +194,15 @@ class EquilibriumSolution:
             win_prob(g.strategy.normalized(), self.aggregate) for g in self.groups
         )
 
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """``refine`` of every strategy on all their breakpoints, as tuples,
+        built on the first read and kept; ``verify_nash`` and the prefix
+        certificate share it."""
+        strategies = self.strategies
+        edges, rows = refine([x for s in strategies for x in s.breakpoints], strategies)
+        return tuple(edges), tuple(map(tuple, rows))
+
     def to_dict(self) -> dict:
         return {
             "subpopulations": [
@@ -308,14 +317,17 @@ def _pour(
 def _pour_group(
     bounds: list[float], levels: list[float], budget: float, mass: float
 ) -> PiecewiseDensity:
-    """Pour one group into the terrace lists in place and return its slab."""
+    """Pour one group into the terrace lists in place and return its slab.
+
+    The slab is built once, by ``stack``, straight from the constant-height
+    pieces the pour records, with the values their unit-weight mixture
+    would hold.
+    """
     budget = positive_finite("budget", budget)
     mass = positive_finite("mass", mass)
     pieces: list[tuple[float, float, float]] = []
     _pour(bounds, levels, budget, mass, pieces)
-    return mixture(
-        [(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces]
-    )
+    return stack(pieces)
 
 
 def iter_pours(

@@ -51,6 +51,24 @@ def scaled_populations(draw, max_groups: int = 25) -> DiscreteBudgetDistribution
         reject()
 
 
+@st.composite
+def near_equal_populations(draw, max_groups: int = 11) -> DiscreteBudgetDistribution:
+    """Budgets ``1 + cumsum(gaps)`` with every gap in one decade, from
+    [1e-9, 1e-8) up to [1e-5, 1e-4), and Dirichlet(1) masses."""
+    n = draw(st.integers(2, max_groups))
+    decade = draw(st.integers(-9, -5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    budgets = 1.0 + np.cumsum(10.0 ** (decade + rng.random(n)))
+    masses = rng.dirichlet(np.ones(n))
+    try:
+        return DiscreteBudgetDistribution(
+            tuple((float(b), float(m)) for b, m in zip(budgets, masses))
+        )
+    except ValueError:
+        # a gap within EPS once rounded, or a mass that underflows
+        reject()
+
+
 def document_or_error(fn, *args) -> str:
     """The JSON document of what ``fn`` returns, or the error it raises."""
     try:

@@ -19,6 +19,10 @@ before it read the best dyad off the upper concave envelope;
 ``support_runs`` is the two-pass loop ``PiecewiseDensity.support_runs``
 ran before it merged once: it joined touching segments first and merged
 them with the atoms after; ``tests/test_density.py`` compares the two.
+``pour_slab`` is the slab ``solver._pour_group`` built before
+``density.stack`` built it in one construction: the unit-weight
+``density.mixture`` of one one-segment density per poured piece;
+``tests/test_solver.py`` compares the two.
 ``outcome_matrix`` plays every contest, and ``transitivity_report`` audits
 the whole matrix as one block, as the package did before it settled
 contests whose hulls do not meet and audited the blocks of the matrix one
@@ -105,6 +109,12 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
         mid = 0.5 * (lo + hi)
         heights.append(sum(w * height_at(d, mid) for w, d in active))
     return PiecewiseDensity(tuple(merged), tuple(heights), tuple(atoms))
+
+
+def pour_slab(pieces: Sequence[tuple[float, float, float]]) -> PiecewiseDensity:
+    return density.mixture(
+        [(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces]
+    )
 
 
 def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:

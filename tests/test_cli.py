@@ -439,11 +439,11 @@ def test_verify_refuses_a_negative_breakpoint(tmp_path, capsys):
 
 def test_solve_summary_reads_both_certificates(tmp_path, capsys):
     """The JSON document's worst violation is the worse of its two reports,
-    as ``verify`` reads them back; CSV writes no linear bounds and reads
-    nash alone."""
+    as ``verify`` reads them back, and its linear bounds fail, so it exits
+    2; CSV writes no linear bounds and reads nash alone, which passes."""
     rows = [{"budget": 1, "mass": 1}, {"budget": 2, "mass": 1e-8}]
     src = write_json(tmp_path, "light.json", {"subpopulations": rows})
-    assert main(["solve", src]) == 0
+    assert main(["solve", src]) == 2
     captured = capsys.readouterr()
     sol = EquilibriumSolution.from_dict(json.loads(captured.out))
     nash, linear = verify_nash(sol), verify_linear_bounds(sol)

@@ -16,7 +16,9 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import poplotto
+import poplotto.density as density
 import poplotto.equilibrium as equilibrium
+import poplotto.payoff as payoff
 import poplotto.solver as solver
 from poplotto import (
     EPS,
@@ -37,6 +39,7 @@ from poplotto import (
     verify_subpop_consistency,
     worst_deviation,
 )
+from poplotto.density import refine
 from poplotto.payoff import dyad_payoff, win_prob
 from poplotto.structure import league_rewire
 from tests import grid_oracles as oracle
@@ -545,13 +548,15 @@ def test_subpop_consistency_never_mixes(
     monkeypatch, nine_dist, nine_sol, near_tie_dist, near_tie_sol
 ):
     """No ``mixture`` call on any number of groups, and no prefix goes
-    through ``verify_nash`` or ``step_gap``, reports read or not."""
+    through ``verify_nash`` or ``step_gap``, reports read or not.  The
+    certificates read ``EquilibriumSolution.cells`` and never import
+    ``mixture`` at all."""
     rewired = league_rewire(near_tie_sol, 0, seed=0)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("prefix re-certification mixed or compared densities")
 
-    monkeypatch.setattr(equilibrium, "mixture", forbidden)
+    assert not hasattr(equilibrium, "mixture")
     monkeypatch.setattr(equilibrium, "verify_nash", forbidden)
     monkeypatch.setattr(equilibrium, "step_gap", forbidden)
     for dist, sol in ((nine_dist, nine_sol), (near_tie_dist, rewired)):
@@ -589,6 +594,42 @@ def test_payoffs_belong_to_their_solution(near_tie_sol):
         )
     assert flipped.payoffs == parent[::-1] != parent
     assert near_tie_sol.payoffs is parent
+
+
+def test_certificates_refine_the_strategies_once(monkeypatch, nine_dist):
+    """``verify_nash`` and ``verify_subpop_consistency`` share
+    ``EquilibriumSolution.cells``: one ``refine`` of the strategies per
+    solution, not one per certificate."""
+    calls = []
+
+    def counted(points, densities):
+        calls.append(tuple(densities))
+        return refine(points, densities)
+
+    for module in (density, payoff, solver):
+        monkeypatch.setattr(module, "refine", counted)
+    sol = solve(nine_dist)
+    calls.clear()
+    verify_nash(sol, 1e-9)
+    verify_subpop_consistency(nine_dist, sol, 1e-9)
+    verify_nash(sol, 1e-9)
+    assert [call for call in calls if len(call) == len(sol.groups)] == [sol.strategies]
+
+
+def test_cells_belong_to_their_solution(near_tie_sol):
+    """A solution built from another, by ``league_rewire`` or
+    ``dataclasses.replace``, reads its own cells, not the cached ones."""
+    parent = near_tie_sol.cells
+    rewired = league_rewire(near_tie_sol, 0, seed=0)
+    flipped = dataclasses.replace(near_tie_sol, groups=near_tie_sol.groups[::-1])
+    for sol in (rewired, flipped):
+        strategies = sol.strategies
+        points = [x for s in strategies for x in s.breakpoints]
+        edges, rows = refine(points, strategies)
+        assert sol.cells == (tuple(edges), tuple(map(tuple, rows)))
+    assert rewired.cells != parent
+    assert flipped.cells == (parent[0], parent[1][::-1]) != parent
+    assert near_tie_sol.cells is parent
 
 
 def test_certificates_never_call_the_solver(

@@ -21,11 +21,14 @@ from poplotto import (
     step_gap,
     win_prob,
 )
-from poplotto.solver import _pour_group
+from poplotto.density import stack
+from poplotto.solver import _pour, _pour_group
+from tests import grid_oracles as oracle
 from tests.conftest import (
     NINE_ROWS,
     budget_rows,
     document_or_error,
+    near_equal_populations,
     scaled_populations,
 )
 
@@ -302,3 +305,102 @@ def test_solution_record_rejects_bad_budget_or_mass(budget, mass):
     }
     with pytest.raises(ValueError, match="positive and finite"):
         EquilibriumSolution.from_dict(record)
+
+
+def _poured_pieces(dist: DiscreteBudgetDistribution) -> list[list[tuple]]:
+    """The pieces ``_pour`` records for each group it pours without error."""
+    bounds, levels = [0.0], [math.inf]
+    poured = []
+    for budget, mass in dist.entries:
+        pieces: list[tuple[float, float, float]] = []
+        try:
+            _pour(bounds, levels, budget, mass, pieces)
+        except SolverError:
+            break
+        poured.append(pieces)
+    return poured
+
+
+@given(scaled_populations() | near_equal_populations())
+@settings(deadline=None, max_examples=120)
+def test_stacked_slab_matches_mixture_of_pieces(dist):
+    """One construction per slab holds the values the mixture of one-segment
+    pieces held, including where near-equal budgets pour slivers."""
+    for pieces in _poured_pieces(dist):
+        assert document_or_error(stack, pieces) == document_or_error(
+            oracle.pour_slab, pieces
+        )
+
+
+SLIVER = 1.0 + 5e-10
+
+
+@pytest.mark.parametrize(
+    "pieces, breakpoints, heights",
+    [
+        # overflow floods nested terraces flush against one wall, then
+        # settles; each cell sums its pieces in pour order, which shows in
+        # the last bit of 0.1 + 0.2 + 0.3
+        (
+            [(2.0, 3.0, 0.1), (1.0, 3.0, 0.2), (0.0, 3.0, 0.3), (3.0, 4.0, 0.5)],
+            (0.0, 1.0, 2.0, 3.0, 4.0),
+            (0.3, 0.5, 0.6000000000000001, 0.5),
+        ),
+        # narrower than EPS: dropped with its mass, its end merged away ...
+        (
+            [(0.0, 1.0, 0.5), (1.0, SLIVER, 3.0), (SLIVER, 2.0, 0.25)],
+            (0.0, 1.0, 2.0),
+            (0.5, 0.25),
+        ),
+        # ... or, at the slab's low end, with no edge of its own
+        ([(0.0, 5e-10, 3.0), (5e-10, 1.0, 0.5)], (5e-10, 1.0), (0.5,)),
+        # zero height, and a negative height within EPS of zero: dropped,
+        # so neither end merges the next piece's start away
+        (
+            [(0.0, 1.0 - 5e-10, 0.0), (1.0, 2.0, 0.5), (2.0, 3.0, -5e-10)],
+            (1.0, 2.0),
+            (0.5,),
+        ),
+        # a start within EPS below zero moves onto zero
+        ([(-5e-10, 1.0, 0.5), (1.0, 2.0, 0.25)], (0.0, 1.0, 2.0), (0.5, 0.25)),
+        ([], (), ()),
+    ],
+)
+def test_stacked_slab_hand_built(pieces, breakpoints, heights):
+    slab = stack(pieces)
+    assert (slab.breakpoints, slab.heights, slab.atoms) == (breakpoints, heights, ())
+    assert slab == oracle.pour_slab(pieces)
+
+
+@pytest.mark.parametrize(
+    "piece, message",
+    [
+        ((1.0, 2.0, -1e-6), "heights must be non-negative"),
+        ((-1e-6, 1.0, 0.5), "breakpoints must be non-negative"),
+        ((2.0, 1.0, 0.5), "breakpoints must be increasing"),
+        ((0.0, math.inf, 0.5), "must be finite"),
+        ((0.0, 1.0, math.nan), "must be finite"),
+    ],
+)
+def test_stacked_slab_refuses_what_a_segment_refuses(piece, message):
+    pieces = [(0.0, 1.0, 0.5), piece]
+    assert document_or_error(stack, pieces) == document_or_error(
+        oracle.pour_slab, pieces
+    )
+    with pytest.raises(ValueError, match=message):
+        stack(pieces)
+
+
+def test_solve_builds_each_slab_once(monkeypatch, nine_dist):
+    """``solve`` constructs one density per group and one aggregate: no
+    density per poured piece and no mixture of them."""
+    built = []
+    post_init = PiecewiseDensity.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PiecewiseDensity, "__post_init__", counted)
+    sol = solve(nine_dist)
+    assert len(built) == len(sol.groups) + 1 == 10
