@@ -346,6 +346,26 @@ def _cell_edges(points: Iterable[float]) -> list[float]:
     return kept
 
 
+def _add_segments(
+    row: list[float], edges: Sequence[float], bp: Sequence[float], hs: Sequence[float]
+) -> None:
+    """Add segment j's height to ``row`` on cells ``idx(bp[j]):idx(bp[j + 1])``,
+    where ``idx(x) = max(bisect_right(edges, x) - 1, 0)`` indexes the kept
+    edge x merged into, the last at or below it; only the segments that
+    reach ``[edges[0], edges[-1]]`` are visited."""
+    if not hs or not edges:
+        return
+    j = max(bisect.bisect_right(bp, edges[0]) - 1, 0)
+    lo = max(bisect.bisect_right(edges, bp[j]) - 1, 0)
+    # every later breakpoint lies above edges[0], so its index needs no clamp
+    for x, h in zip(bp[j + 1 :], hs[j:]):
+        hi = bisect.bisect_right(edges, x) - 1
+        row[lo:hi] = [v + h for v in row[lo:hi]]
+        if x >= edges[-1]:
+            break
+        lo = hi
+
+
 def refine(
     points: Iterable[float], densities: Sequence[PiecewiseDensity]
 ) -> tuple[list[float], list[list[float]]]:
@@ -353,19 +373,14 @@ def refine(
 
     Sorts the points and drops each within ``EPS`` of the last kept, so
     the cells are ``zip(edges, edges[1:])``, each at least ``EPS`` wide.
-    Returns the edges and each density's ``height_at`` at every cell
-    midpoint, read only at the midpoints inside its breakpoints and
-    written as the 0.0 it returns everywhere else.
+    Returns the edges and each density's heights on the cells, each
+    breakpoint read as the kept edge at or below it: 0.0 on every cell
+    outside its segments.
     """
     kept = _cell_edges(points)
-    mids = [0.5 * (lo + hi) for lo, hi in zip(kept, kept[1:])]
-    rows = [[0.0] * len(mids) for _ in densities]
+    rows = [[0.0] * (len(kept) - 1) for _ in densities]
     for row, dens in zip(rows, densities):
-        bp = dens.breakpoints
-        if bp:
-            start = bisect.bisect_left(mids, bp[0])
-            stop = bisect.bisect_right(mids, bp[-1])
-            row[start:stop] = map(dens.height_at, mids[start:stop])
+        _add_segments(row, kept, dens.breakpoints, dens.heights)
     return kept, rows
 
 
@@ -414,19 +429,12 @@ def stack(pieces: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
 
     Bit for bit the unit-weight ``mixture`` of the one-segment densities
     ``PiecewiseDensity((lo, hi), (height,))``, raising what they raise:
-    each piece is checked and cleaned by that constructor's rules, the
-    kept pieces' ends are cut by ``refine``'s cell rule, and each cell
-    sums, in piece order, the heights of the pieces whose ends hold its
-    midpoint.
+    each piece is checked and cleaned by that constructor's rules and
+    placed, in piece order, on ``refine``'s cells of the kept ends.
     """
-    kept = []
-    for lo, hi, h in pieces:
-        bp, hs = _clean_segments((lo, hi), (h,))
-        if hs:
-            kept.append((*bp, *hs))
-    edges = _cell_edges([x for lo, hi, _ in kept for x in (lo, hi)])
-    heights = []
-    for left, right in zip(edges, edges[1:]):
-        mid = 0.5 * (left + right)
-        heights.append(sum([h for lo, hi, h in kept if lo <= mid <= hi]))
+    kept = [_clean_segments((lo, hi), (h,)) for lo, hi, h in pieces]
+    edges = _cell_edges([x for bp, _ in kept for x in bp])
+    heights = [0.0] * (len(edges) - 1)
+    for bp, hs in kept:
+        _add_segments(heights, edges, bp, hs)
     return PiecewiseDensity(tuple(edges), tuple(heights))

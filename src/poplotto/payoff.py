@@ -81,13 +81,12 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
 
     Both inputs must be normalized.  Exact per cell: within a cell the
     opponent's cumulative mass is linear, so the integral of ``f`` against
-    it is a rectangle plus a triangle.  ``f`` has a height only in cells
-    whose midpoints lie inside its breakpoints, so only a window of the
-    union grid is refined: from a point below ``f``'s first breakpoint
-    that every merge chain keeps, through the first point more than
-    ``2 * EPS`` past its last.  Its cells are the whole grid's there, read
-    in the same order.  When ``refine`` merges the largest point into the
-    last cell, ``f``'s mass past the last edge beats all of ``h`` below it.
+    it is a rectangle plus a triangle.  Both are read on ``refine``'s cells,
+    only on the window of the union grid where ``f`` has a height: from its
+    first breakpoint, walked back to a point that every merge chain keeps,
+    through its last.  Those cells are the whole grid's, read in the same
+    order.  When ``refine`` merges the largest point into the last cell,
+    ``f``'s mass past the last edge beats all of ``h`` below it.
     """
     _require_unit_mass(f, "first")
     _require_unit_mass(h, "second")
@@ -98,19 +97,14 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     total = 0.0
     bp = f.breakpoints
     if bp:
-        # strictly below: where float spacing exceeds EPS, the midpoint of
-        # the cell ending on bp[0] can round onto it and read f; past
-        # 2 * EPS, the window's last kept edge lies past bp[-1] under any
-        # rounding, so the cell after it reads nothing of f
-        first = _kept(pts, max(bisect.bisect_left(pts, bp[0]) - 1, 0))
-        stop = bisect.bisect_right(pts, bp[-1] + 2.0 * EPS) + 1
-        edges, (f_heights,) = refine(pts[first:stop], (f,))
-        for lo, hi, f_height in zip(edges, edges[1:], f_heights):
+        first = _kept(pts, bisect.bisect_left(pts, bp[0]))
+        stop = bisect.bisect_right(pts, bp[-1])
+        edges, (f_heights, h_heights) = refine(pts[first:stop], (f, h))
+        for lo, hi, f_height, h_height in zip(edges, edges[1:], f_heights, h_heights):
             if f_height <= 0.0:
                 continue
             start = h.cdf(lo)
             width = hi - lo
-            h_height = h.height_at(0.5 * (lo + hi))
             total += f_height * (
                 start.inclusive * width + 0.5 * h_height * width * width
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .density import EPS, PiecewiseDensity, mixture, refine
+from .density import EPS, PiecewiseDensity, _add_segments, mixture, refine
 from .payoff import win_prob
 from .solver import (
     DiscreteBudgetDistribution,
@@ -254,12 +254,14 @@ def _contests(
     matrix exactly consistent.  A pair whose hulls satisfy
     ``hi_i + EPS < lo_j - EPS``, each side rounded as computed, is settled
     as 0.0 without a contest, because ``win_prob(f_i, f_j)`` is exactly 0.0:
-    f_i has a height only in cells whose midpoints lie inside its
-    breakpoints, below ``lo_j``, where ``f_j.cdf(lo)`` and
-    ``f_j.height_at(mid)`` read 0.0; ``f_j.cdf(loc).midpoint`` reads 0.0 at
-    every atom of f_i too, as ``cdf`` pools atoms only within ``EPS``.  So
-    each term is a finite height or mass times 0.0.  A pair with j below i
-    still plays: its masses need not sum to exactly 1.0.
+    ``refine`` reads each breakpoint as the kept edge at or below it, so
+    f_i has a height only on cells before the edge ``lo_j`` reads as, where
+    f_j has none and ``f_j.cdf(lo)`` reads 0.0, as does
+    ``f_j.cdf(loc).midpoint`` at every atom of f_i (``cdf`` pools atoms only
+    within ``EPS``); no point lies in the gap, so the last kept edge lies
+    past ``hi_i`` and the tail term is 0.0.  So each term is a finite height
+    or mass times 0.0.  A pair with j below i still plays: its masses need
+    not sum to exactly 1.0.
     """
     import numpy as np
 
@@ -468,17 +470,13 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
 def _patched(
     dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
 ) -> PiecewiseDensity:
-    """Add a flat delta per cell to a density."""
+    """Add a flat delta per cell to a density, on ``refine``'s cells."""
     pts = (*dens.breakpoints, *(edge for cell in cells for edge in cell))
-    edges, (base,) = refine(pts, (dens,))
-    heights = []
-    for lo, hi, h in zip(edges, edges[1:], base):
-        mid = 0.5 * (lo + hi)
-        for (c_lo, c_hi), delta in zip(cells, deltas):
-            if c_lo <= mid < c_hi:
-                h += delta
-        heights.append(max(h, 0.0))
-    return PiecewiseDensity(tuple(edges), tuple(heights), dens.atoms)
+    edges, (heights,) = refine(pts, (dens,))
+    for cell, delta in zip(cells, deltas):
+        _add_segments(heights, edges, cell, (delta,))
+    clamped = tuple(max(h, 0.0) for h in heights)
+    return PiecewiseDensity(tuple(edges), clamped, dens.atoms)
 
 
 def _slice_swap(

@@ -1,13 +1,15 @@
 """Reference implementations kept only as oracles.
 
-Each grid function below rebuilds its own union grid and reads
-``height_at`` at every cell midpoint, as the package did before
-``density.refine`` took over; ``height_at`` is the exact read, a scan over
-the segments in place of the method's ``bisect``.  ``tests/test_refine.py``
-checks that the rewritten functions give exactly the same output.
-``step_gap`` and ``min_height`` drop each point within EPS of the last kept,
-as ``refine`` does; ``skip_cell_step_gap`` is the loop ``step_gap`` ran
-before, which kept every point and skipped cells narrower than EPS.
+Each grid function below rebuilds its own union grid, drops each point
+within EPS of the last kept, and reads a density on each cell by the edge
+rule of ``density.refine``: every breakpoint snaps to the last kept edge
+at or below it, found by a linear scan, and a segment holds the cells
+between its ends' snapped edges.  ``tests/test_refine.py`` checks that
+the rewritten functions give exactly the same output.
+``skip_cell_step_gap`` is the loop ``step_gap`` ran before, which kept
+every point, skipped cells narrower than EPS and read ``height_at`` at
+each cell midpoint; ``height_at`` is the exact point read, a scan over
+the segments in place of the method's ``bisect``.
 ``win_prob`` counts the mass past the last kept point as ``payoff.win_prob``
 does.
 ``subpop_consistency`` is the prefix loop ``verify_subpop_consistency`` ran
@@ -46,21 +48,38 @@ from poplotto.solver import EquilibriumSolution, SubPopulation
 from poplotto.structure import _NOTIONS, OutcomeMatrix, TransitivityReport
 
 
-def merged_cells(points) -> list[tuple[float, float]]:
-    """Cells of the sorted points, each point within EPS of the last kept
-    dropped."""
+def merged_edges(points) -> list[float]:
+    """The sorted points, each within EPS of the last kept dropped."""
     merged: list[float] = []
     for x in sorted(set(points)):
         if not merged or x - merged[-1] >= EPS:
             merged.append(x)
-    return list(zip(merged, merged[1:]))
+    return merged
+
+
+def snapped(x: float, edges: list[float]) -> float:
+    """The last edge at or below ``x``; the first edge when all lie above."""
+    at = edges[0]
+    for edge in edges:
+        if edge <= x:
+            at = edge
+    return at
+
+
+def cell_heights(dens: PiecewiseDensity, edges: list[float]) -> list[float]:
+    """``dens``'s height on each cell of ``edges``: the segment whose
+    snapped ends hold the cell's left edge, else 0.0."""
+    spans = [
+        (snapped(lo, edges), snapped(hi, edges), h) for lo, hi, h in dens.segments()
+    ]
+    return [next((h for a, b, h in spans if a <= lo < b), 0.0) for lo in edges[:-1]]
 
 
 def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
+    edges = merged_edges((*a.breakpoints, *b.breakpoints))
     gap = 0.0
-    for lo, hi in merged_cells((*a.breakpoints, *b.breakpoints)):
-        mid = 0.5 * (lo + hi)
-        gap = max(gap, abs(height_at(a, mid) - height_at(b, mid)))
+    for ha, hb in zip(cell_heights(a, edges), cell_heights(b, edges)):
+        gap = max(gap, abs(ha - hb))
     return max(gap, atom_gap(a, b))
 
 
@@ -99,15 +118,12 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
         atoms.extend((loc, weight * mass) for loc, mass in dens.atoms)
     if not pts:
         return PiecewiseDensity((), (), tuple(atoms))
-    grid = sorted(set(pts))
-    merged = [grid[0]]
-    for x in grid[1:]:
-        if x - merged[-1] >= EPS:
-            merged.append(x)
-    heights = []
-    for lo, hi in zip(merged, merged[1:]):
-        mid = 0.5 * (lo + hi)
-        heights.append(sum(w * height_at(d, mid) for w, d in active))
+    merged = merged_edges(pts)
+    rows = [cell_heights(d, merged) for _, d in active]
+    heights = [
+        sum(w * row[c] for (w, _), row in zip(active, rows))
+        for c in range(len(merged) - 1)
+    ]
     return PiecewiseDensity(tuple(merged), tuple(heights), tuple(atoms))
 
 
@@ -123,18 +139,13 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     pts.update(loc for loc, _ in f.atoms)
     pts.update(loc for loc, _ in h.atoms)
     grid = sorted(pts)
-    merged: list[float] = []
-    for x in grid:
-        if not merged or x - merged[-1] >= EPS:
-            merged.append(x)
+    merged = merged_edges(grid)
     total = 0.0
-    for lo, hi in zip(merged, merged[1:]):
-        mid = 0.5 * (lo + hi)
-        f_height = height_at(f, mid)
+    cells = zip(merged, merged[1:], cell_heights(f, merged), cell_heights(h, merged))
+    for lo, hi, f_height, h_height in cells:
         if f_height <= 0.0:
             continue
         start = h.cdf(lo)
-        h_height = height_at(h, mid)
         width = hi - lo
         total += f_height * (
             start.inclusive * width + 0.5 * h_height * width * width
@@ -156,12 +167,8 @@ def flat_violation(
     lo, hi = hull
     if hi - lo <= EPS:
         return 0.0
-    pts = sorted({lo, hi, *(x for x in aggregate.breakpoints if lo < x < hi)})
-    seen: list[float] = []
-    for a, b in zip(pts, pts[1:]):
-        if b - a < EPS:
-            continue
-        seen.append(height_at(aggregate, 0.5 * (a + b)))
+    edges = merged_edges((lo, hi, *(x for x in aggregate.breakpoints if lo < x < hi)))
+    seen = cell_heights(aggregate, edges)
     spread = max(seen) - min(seen) if seen else 0.0
     atom_breach = max(
         (mass for loc, mass in aggregate.atoms if lo + EPS < loc < hi - EPS),
@@ -171,26 +178,18 @@ def flat_violation(
 
 
 def min_height(dens: PiecewiseDensity, lo: float, hi: float) -> float:
-    cells = merged_cells((lo, hi, *(x for x in dens.breakpoints if lo < x < hi)))
-    return min((height_at(dens, 0.5 * (a + b)) for a, b in cells), default=0.0)
+    edges = merged_edges((lo, hi, *(x for x in dens.breakpoints if lo < x < hi)))
+    return min(cell_heights(dens, edges), default=0.0)
 
 
 def patched(
     dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
 ) -> PiecewiseDensity:
-    pts = sorted(
-        {*dens.breakpoints, *(edge for cell in cells for edge in cell)}
-    )
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] >= EPS:
-            merged.append(x)
+    merged = merged_edges((*dens.breakpoints, *(x for cell in cells for x in cell)))
     heights = []
-    for lo, hi in zip(merged, merged[1:]):
-        mid = 0.5 * (lo + hi)
-        h = height_at(dens, mid)
+    for lo, h in zip(merged, cell_heights(dens, merged)):
         for (c_lo, c_hi), delta in zip(cells, deltas):
-            if c_lo <= mid < c_hi:
+            if snapped(c_lo, merged) <= lo < snapped(c_hi, merged):
                 h += delta
         heights.append(max(h, 0.0))
     return PiecewiseDensity(tuple(merged), tuple(heights), dens.atoms)

@@ -22,6 +22,8 @@ from poplotto import (
     verify_subpop_consistency,
     win_prob,
 )
+from poplotto.density import refine, stack
+from poplotto.structure import _patched
 from tests import grid_oracles as oracle
 
 DATA = Path(__file__).parent / "data"
@@ -196,30 +198,38 @@ def test_each_strategy_is_scaled_to_unit_mass_once(monkeypatch, capsys):
 
 
 def test_densities_are_read_only_on_their_support(monkeypatch):
-    """The prefix certificates, a mixture of every strategy and each
-    strategy's contest against the aggregate call ``height_at`` only inside
-    the breakpoints."""
+    """``refine``, ``stack``, ``_patched`` and ``win_prob``, and the prefix
+    certificates and ``mixture`` through them, place segments by edge index
+    and make no ``height_at`` call, and each ``refine`` row is zero outside
+    the cells between the density's first and last breakpoints, each read
+    as the last kept edge at or below it."""
     dist = DiscreteBudgetDistribution.from_dict(
         json.loads((DATA / "staircase.json").read_text())
     )
     sol = solve(dist)
     strategies = [g.strategy for g in sol.groups]
-    units = [s.normalized() for s in strategies]
-    reads = []
-    original = PiecewiseDensity.height_at
+    pieces = [seg for s in strategies for seg in s.segments()]
+    lo, hi = strategies[0].support
 
-    def recorded(self, x):
-        reads.append((self.breakpoints, x))
-        return original(self, x)
+    def refused(self, x):
+        raise AssertionError(f"height_at({x!r}) called")
 
-    monkeypatch.setattr(PiecewiseDensity, "height_at", recorded)
-    verify_subpop_consistency(dist, sol)
-    mixture([(1.0, s) for s in strategies])
-    for f in units:
-        win_prob(f, sol.aggregate)
-    assert reads
-    for bp, x in reads:
-        assert bp and bp[0] <= x <= bp[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(PiecewiseDensity, "height_at", refused)
+        edges, rows = refine([x for s in strategies for x in s.breakpoints], strategies)
+        stack(pieces)
+        _patched(strategies[0], [(lo, 0.5 * (lo + hi))], [0.1])
+        for s in strategies:
+            win_prob(s.normalized(), sol.aggregate)
+        verify_subpop_consistency(dist, sol)
+        mixture([(1.0, s) for s in strategies])
+    for dens, row in zip(strategies, rows):
+        first, last = (
+            max(k for k, edge in enumerate(edges) if edge <= x)
+            for x in (dens.breakpoints[0], dens.breakpoints[-1])
+        )
+        assert any(row[first:last])
+        assert not any(row[:first]) and not any(row[last:])
 
 
 def test_mixture_is_linear_in_mass_and_moment():

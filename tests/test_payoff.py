@@ -166,3 +166,37 @@ def test_antisymmetry(f, h):
 @settings(deadline=None, max_examples=60)
 def test_everyone_draws_against_themselves(f):
     assert win_prob(f, f) == pytest.approx(0.5, abs=1e-9)
+
+
+@st.composite
+def ulp_spaced_densities(draw, x: float):
+    """A unit-mass block or step density with breakpoints at small integer
+    multiples of ``math.ulp(x)`` above ``x``."""
+    u = math.ulp(x)
+    steps = sorted(set(draw(st.lists(st.integers(0, 12), min_size=2, max_size=6))))
+    if len(steps) < 2:
+        steps = [steps[0], steps[0] + 1]
+    heights = draw(
+        st.lists(
+            st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+            min_size=len(steps) - 1,
+            max_size=len(steps) - 1,
+        ).filter(any)
+    )
+    dens = PiecewiseDensity(tuple(x + k * u for k in steps), tuple(heights))
+    return dens.scaled(1.0 / dens.total_mass)
+
+
+@given(st.floats(2.0**24, 1e12), st.data())
+@settings(deadline=None, max_examples=100)
+def test_antisymmetry_where_float_spacing_passes_eps(x, data):
+    # from 2**24 on, adjacent floats lie more than EPS apart, so refine
+    # merges no two breakpoints and every cell is read exactly; the
+    # masses are 1 only to rounding, hence the slack on [0, 1]
+    f = data.draw(ulp_spaced_densities(x))
+    h = data.draw(ulp_spaced_densities(x))
+    p = win_prob(f, h)
+    q = win_prob(h, f)
+    for value in (p, q):
+        assert -1e-12 <= value <= 1.0 + 1e-12
+    assert p + q == pytest.approx(1.0, abs=1e-12)

@@ -1,15 +1,16 @@
 """The six grid-walking functions against their cell-by-cell reference loops.
 
 Every function that works on the common refinement of step densities now
-calls ``density.refine``.  Each is compared with the loop it replaced
-(``tests/grid_oracles.py``), and ``height_at`` with a scan over its
-segments, by exact equality of serialised output; ``step_gap`` is also
-held at or above the loop that skipped cells narrower than EPS instead of
-merging their points.
+calls ``density.refine``, which reads each breakpoint as the kept edge at
+or below it.  Each is compared with a loop of its own in
+``tests/grid_oracles.py`` that snaps breakpoints by a linear scan, and
+``height_at`` with a scan over its segments, by exact equality of
+serialised output; ``step_gap`` is also held at or above the loop that
+skipped cells narrower than EPS instead of merging their points.
 Breakpoints are drawn at {0, 0.3, 0.5, 0.6, 0.9, 1, 1.2, 2} x EPS from one
 another, next to ordinary gaps, so that merging chains of close points,
-cells between EPS and 2·EPS wide and midpoints within EPS of breakpoints
-all occur.
+cells between EPS and 2·EPS wide and breakpoints merged from either half
+of a cell all occur.
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ def test_step_gap_never_below_the_skip_cell_reference(case):
 
 def test_step_gap_reads_a_segment_narrower_than_two_eps():
     # b's breakpoint at 1 + 0.75 EPS merges into 1, so the cell is a's own
-    # 1.5 EPS segment, where a carries 3 and b carries 1; the skip-cell
-    # loop split it into two sliver cells and read neither
+    # 1.5 EPS segment, where a carries 3 and b, its breakpoint read as the
+    # kept edge 1, carries its right height 1 + 1e-7; the skip-cell loop
+    # split it into two sliver cells and read neither
     a = PiecewiseDensity((0.0, 1.0, 1.0 + 1.5 * EPS, 2.0), (1.0, 3.0, 1.0))
     b = PiecewiseDensity((0.0, 1.0 + 0.75 * EPS, 2.0), (1.0, 1.0 + 1e-7))
-    assert step_gap(a, b) == 2.0
+    assert step_gap(a, b) == 3.0 - (1.0 + 1e-7)
     assert oracle.skip_cell_step_gap(a, b) < 1e-6
 
 
@@ -176,8 +178,7 @@ def test_support_matches_reference(case):
 
 def test_win_prob_reads_no_height_in_the_sliver_cell_between_strategies():
     # the cell (1, 1 + 1.2 EPS) lies past f's last breakpoint and before
-    # h's first, so neither reads a height there, though its midpoint is
-    # within EPS of both
+    # h's first, both kept edges, so neither reads a height there
     f = PiecewiseDensity.uniform(0.0, 1.0)
     h = PiecewiseDensity.uniform(1.0 + 1.2 * EPS, 2.0)
     assert win_prob(f, h) == 0.0
@@ -210,7 +211,8 @@ def _window_cases():
     return {
         # 1 is kept and 1 + 1.2 EPS is kept; between them h's atom, f's
         # atom and f's first breakpoint merge into 1, so a window starting
-        # at any of them would keep it and cut the cells elsewhere
+        # at any of them would keep it and cut the cells elsewhere; f's
+        # first breakpoint reads as 1, so f has its height from 1 on
         "chain across the first breakpoint": (
             PiecewiseDensity((1.0 + 0.9 * EPS, 2.0), (1.0,), ((1.0 + 0.6 * EPS, 0.5),)),
             PiecewiseDensity(
@@ -221,7 +223,8 @@ def _window_cases():
         ),
         # the chain 1, f's last breakpoint, h's atom, 1 + 1.05 EPS, f's
         # atom, 1 + 2.1 EPS runs past 1.7 EPS: f's last breakpoint merges
-        # into 1, and f reads its height up to the kept 1 + 1.05 EPS
+        # into 1, so f reads its height up to 1 and none on the cell to
+        # the kept 1 + 1.05 EPS
         "chain across the last breakpoint plus EPS": (
             PiecewiseDensity((0.5, 1.0 + 0.7 * EPS), (1.0,), ((1.0 + 1.6 * EPS, 0.5),)),
             PiecewiseDensity(
@@ -251,8 +254,8 @@ def _window_cases():
             ),
         ),
         # float spacing 1.9e-9 exceeds EPS at this unit, so every point is
-        # kept and the midpoint of the cell below f's first breakpoint
-        # rounds onto it: f reads its first height there
+        # kept and every cell is one float spacing wide, so a cell's
+        # midpoint rounds onto one of its edges
         "float spacing past EPS": (
             PiecewiseDensity.uniform(unit + 2 * ulp, unit + 4 * ulp),
             PiecewiseDensity.uniform(unit + ulp, unit + 3 * ulp),
@@ -265,3 +268,12 @@ def test_win_prob_window_matches_reference(name):
     f, h = (d.normalized() for d in _window_cases()[name])
     for a, b in ((f, h), (h, f)):
         assert same(win_prob(a, b), oracle.win_prob(a, b))
+
+
+def test_win_prob_past_float_spacing_sums_to_one():
+    # f = U(x + 2u, x + 4u) against h = U(x + u, x + 3u): f wins 7/8, h 1/8
+    for x in (1.5e7, 1e9, 1e12):
+        u = math.ulp(x)
+        f = PiecewiseDensity.uniform(x + 2 * u, x + 4 * u).normalized()
+        h = PiecewiseDensity.uniform(x + u, x + 3 * u).normalized()
+        assert (win_prob(f, h), win_prob(h, f)) == (0.875, 0.125)
