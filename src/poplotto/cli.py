@@ -96,7 +96,7 @@ def _league_lines(partition: LeaguePartition, budgets: tuple[float, ...]) -> lis
     return lines
 
 
-def _cmd_solve(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_solve(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     dist = _load_distribution(args.input)
     sol = solve(dist)
     nash = verify_nash(sol, args.tol)
@@ -112,18 +112,17 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[str, list[str], int]:
             "linear_bounds": linear.to_dict(),
             "leagues": part.to_dict(),
         }
-        machine = json.dumps({**sol.to_dict(), "reports": reports}, indent=2) + "\n"
+        machine = {**sol.to_dict(), "reports": reports}
     summary = _league_lines(part, sol.budgets)
     summary.append(f"worst violation: {worst:.3e}")
     return machine, summary, 0 if ok else 2
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     sol = EquilibriumSolution.from_dict(_read_json(args.input))
     nash = verify_nash(sol, args.tol)
     linear = verify_linear_bounds(sol, args.tol)
-    payload = {"nash": nash.to_dict(), "linear_bounds": linear.to_dict()}
-    machine = json.dumps(payload, indent=2) + "\n"
+    machine = {"nash": nash.to_dict(), "linear_bounds": linear.to_dict()}
     ok = nash.passed and linear.passed
     summary = [
         f"nash: {'pass' if nash.passed else 'FAIL'} (worst {nash.worst():.3e})",
@@ -133,12 +132,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
     return machine, summary, 0 if ok else 2
 
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     subs = sub_leagues(_load_distribution(args.input), args.tol)
     sol = subs.solution
     matrix = outcome_matrix(sol)
     transitivity = transitivity_report(matrix, args.tol)
-    payload = {
+    machine = {
         **sol.to_dict(),
         "reports": {
             "nash": verify_nash(sol, args.tol).to_dict(),
@@ -149,7 +148,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
             "sub_leagues": subs.to_dict(),
         },
     }
-    machine = json.dumps(payload, indent=2) + "\n"
     summary = _league_lines(subs.full, sol.budgets)
     flags = ", ".join(
         f"{name}={'pass' if ok else 'FAIL'}"
@@ -164,7 +162,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_dice(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     if args.input is None:
         dice = DICE_TRIPLE
     else:
@@ -177,7 +175,7 @@ def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
     matrix = outcome_matrix(pop)
     transitivity = transitivity_report(matrix, args.tol)
     nash = verify_nash(pop, args.tol)
-    payload = {
+    machine = {
         "dice": faces,
         **pop.to_dict(),
         "reports": {
@@ -187,7 +185,6 @@ def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
             "transitivity": transitivity.to_dict(),
         },
     }
-    machine = json.dumps(payload, indent=2) + "\n"
     n = matrix.n
     summary = [f"dice: {die}" for die in faces]
     for i in range(n):
@@ -197,7 +194,7 @@ def _cmd_dice(args: argparse.Namespace) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_rewire(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     import numpy as np
 
     dist = _load_distribution(args.input)
@@ -209,7 +206,7 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
     if args.format == "csv":
         machine = step_samples_csv(rewired)
     else:
-        payload = {
+        machine = {
             **rewired.to_dict(),
             "reports": {
                 "nash": nash.to_dict(),
@@ -222,7 +219,6 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
                 ],
             },
         }
-        machine = json.dumps(payload, indent=2) + "\n"
     changed = float(abs(after - before).max())
     summary = [
         f"league {args.league} rewired: {len(flips)} edge(s) flipped,"
@@ -232,7 +228,7 @@ def _cmd_rewire(args: argparse.Namespace) -> tuple[str, list[str], int]:
     return machine, summary, 0
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def _cmd_export(args: argparse.Namespace) -> tuple[dict | str, list[str], int]:
     dist = _load_distribution(args.input)
     sol = solve(dist)
     matrix = outcome_matrix(sol)
@@ -322,6 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    # a handler returns a JSON document as its payload; CSV, dot and
+    # export's JSON come back as text and are written as they are
+    if isinstance(machine, dict):
+        machine = json.dumps(machine, indent=2) + "\n"
     summary_stream = sys.stderr
     if args.out is not None:
         try:

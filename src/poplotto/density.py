@@ -397,44 +397,49 @@ def step_gap(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     return gap
 
 
+def _summed(
+    parts: Sequence[tuple[Sequence[float], Sequence[float]]]
+) -> tuple[list[float], list[float]]:
+    """Sum of step functions ``(breakpoints, heights)``: the cells cut at
+    every part's breakpoints by ``refine``'s rule, each part's heights
+    added on them in part order, so a cell reads ``0.0 + h1 + h2 ...``."""
+    edges = _cell_edges([x for bp, _ in parts for x in bp])
+    heights = [0.0] * (len(edges) - 1)
+    for bp, hs in parts:
+        _add_segments(heights, edges, bp, hs)
+    return edges, heights
+
+
 def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity:
     """Weighted sum of densities.  Weights must be non-negative.
 
-    The result's mass is the weighted sum of the parts' masses; atoms landing
-    within ``EPS`` of each other are pooled by the constructor.
+    The result's mass is the weighted sum of the parts' masses; the
+    weighted segments are summed by ``_summed`` on the cells of every
+    part's breakpoints, and atoms landing within ``EPS`` of each other are
+    pooled by the constructor.
     """
-    pts: list[float] = []
+    weighted: list[tuple[tuple[float, ...], list[float]]] = []
     atoms: list[tuple[float, float]] = []
-    active: list[tuple[float, PiecewiseDensity]] = []
     for weight, dens in parts:
         weight = float(weight)
         if not math.isfinite(weight) or weight < 0.0:
             raise ValueError("mixture weights must be non-negative and finite")
         if weight == 0.0:
             continue
-        active.append((weight, dens))
-        pts.extend(dens.breakpoints)
+        weighted.append((dens.breakpoints, [weight * h for h in dens.heights]))
         atoms.extend((loc, weight * mass) for loc, mass in dens.atoms)
-    if not pts:
-        return PiecewiseDensity((), (), tuple(atoms))
-    weights, densities = zip(*active)
-    edges, rows = refine(pts, densities)
-    # one builtin sum per cell, parts in order: the order shows in output bytes
-    heights = [sum(map(operator.mul, weights, cell)) for cell in zip(*rows)]
+    edges, heights = _summed(weighted)
     return PiecewiseDensity(tuple(edges), tuple(heights), tuple(atoms))
 
 
 def stack(pieces: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
     """Sum of constant-height float pieces ``(lo, hi, height)``, built once.
 
-    Bit for bit the unit-weight ``mixture`` of the one-segment densities
-    ``PiecewiseDensity((lo, hi), (height,))``, raising what they raise:
-    each piece is checked and cleaned by that constructor's rules and
-    placed, in piece order, on ``refine``'s cells of the kept ends.
+    Each piece is checked and cleaned by the rules of the one-segment
+    density ``PiecewiseDensity((lo, hi), (height,))``, raising what it
+    raises, and the cleaned pieces are summed in piece order by
+    ``_summed``, the sum ``mixture`` makes.
     """
     kept = [_clean_segments((lo, hi), (h,)) for lo, hi, h in pieces]
-    edges = _cell_edges([x for bp, _ in kept for x in bp])
-    heights = [0.0] * (len(edges) - 1)
-    for bp, hs in kept:
-        _add_segments(heights, edges, bp, hs)
+    edges, heights = _summed(kept)
     return PiecewiseDensity(tuple(edges), tuple(heights))

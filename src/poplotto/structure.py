@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .density import EPS, PiecewiseDensity, _add_segments, mixture, refine
+from .density import EPS, PiecewiseDensity, _summed, mixture, stack
 from .payoff import win_prob
 from .solver import (
     DiscreteBudgetDistribution,
@@ -143,9 +143,6 @@ class SubLeagueReport:
     sub_leagues: tuple[SubLeague, ...]
     solution: EquilibriumSolution
 
-    def member_sets(self) -> list[frozenset[int]]:
-        return [frozenset(s.members) for s in self.sub_leagues]
-
     def to_dict(self) -> dict:
         return {
             "full_leagues": self.full.to_dict(),
@@ -229,18 +226,13 @@ class OutcomeMatrix:
 
 
 def outcome_matrix(sol: EquilibriumSolution) -> OutcomeMatrix:
-    """Compute every pairwise contest."""
-    return OutcomeMatrix(_all_contests(sol))
-
-
-def _all_contests(sol: EquilibriumSolution) -> np.ndarray:
-    """Every contest of ``sol``'s groups, 0.5 on the diagonal."""
+    """Compute every pairwise contest, 0.5 on the diagonal."""
     import numpy as np
 
     n = len(sol.groups)
     probs = np.full((n, n), 0.5)
     _contests(probs, sol, np.column_stack(np.triu_indices(n, 1)))
-    return probs
+    return OutcomeMatrix(probs)
 
 
 def _contests(
@@ -456,12 +448,7 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
                 isinstance(v, numbers.Real) and 1 <= v <= 2**53 and float(v).is_integer()
             ):
                 raise ValueError(f"face values must be integers 1..2**53, got {v!r}")
-        strategy = mixture(
-            [
-                (share / faces, PiecewiseDensity.uniform(float(v) - 1.0, float(v)))
-                for v in die
-            ]
-        )
+        strategy = stack((v - 1.0, v, share / faces) for v in die)
         groups.append(SubPopulation(strategy.mean(), share, strategy))
     aggregate = mixture([(1.0, g.strategy) for g in groups])
     return EquilibriumSolution(tuple(groups), aggregate)
@@ -470,11 +457,10 @@ def dice_to_population(dice: Sequence[Sequence[int]]) -> EquilibriumSolution:
 def _patched(
     dens: PiecewiseDensity, cells: list[tuple[float, float]], deltas: list[float]
 ) -> PiecewiseDensity:
-    """Add a flat delta per cell to a density, on ``refine``'s cells."""
-    pts = (*dens.breakpoints, *(edge for cell in cells for edge in cell))
-    edges, (heights,) = refine(pts, (dens,))
-    for cell, delta in zip(cells, deltas):
-        _add_segments(heights, edges, cell, (delta,))
+    """Add a flat delta per cell to a density, summed by ``_summed`` as
+    ``mixture`` sums, and clamp the result at zero."""
+    patches = [(cell, (delta,)) for cell, delta in zip(cells, deltas)]
+    edges, heights = _summed([(dens.breakpoints, dens.heights), *patches])
     clamped = tuple(max(h, 0.0) for h in heights)
     return PiecewiseDensity(tuple(edges), clamped, dens.atoms)
 
@@ -571,7 +557,7 @@ def _rewire(
             pairs.append((a, b, lo, hi))
     if not pairs:
         raise ValueError("league members have no overlapping supports")
-    before = _all_contests(sol)
+    before = outcome_matrix(sol).probs
 
     def judge(candidate: EquilibriumSolution) -> tuple[np.ndarray, bool, bool]:
         """``candidate``'s matrix, whether it flips an edge, and whether it

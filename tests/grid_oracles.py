@@ -22,9 +22,10 @@ before it read the best dyad off the upper concave envelope;
 ran before it merged once: it joined touching segments first and merged
 them with the atoms after; ``tests/test_density.py`` compares the two.
 ``pour_slab`` is the slab ``solver._pour_group`` built before
-``density.stack`` built it in one construction: the unit-weight
-``density.mixture`` of one one-segment density per poured piece;
-``tests/test_solver.py`` compares the two.
+``density.stack`` built it in one construction: the unit-weight mixture
+of one one-segment density per poured piece, summed by this module's
+``mixture``, since ``density.stack`` and ``density.mixture`` now share
+one summation routine; ``tests/test_solver.py`` compares the two.
 ``outcome_matrix`` plays every contest, and ``transitivity_report`` audits
 the whole matrix as one block, as the package did before it settled
 contests whose hulls do not meet and audited the blocks of the matrix one
@@ -120,17 +121,19 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
         return PiecewiseDensity((), (), tuple(atoms))
     merged = merged_edges(pts)
     rows = [cell_heights(d, merged) for _, d in active]
-    heights = [
-        sum(w * row[c] for (w, _), row in zip(active, rows))
-        for c in range(len(merged) - 1)
-    ]
+    heights = []
+    for c in range(len(merged) - 1):
+        # parts in order from 0.0; from Python 3.12 on, the builtin sum
+        # of floats compensates its rounding
+        total = 0.0
+        for (w, _), row in zip(active, rows):
+            total += w * row[c]
+        heights.append(total)
     return PiecewiseDensity(tuple(merged), tuple(heights), tuple(atoms))
 
 
 def pour_slab(pieces: Sequence[tuple[float, float, float]]) -> PiecewiseDensity:
-    return density.mixture(
-        [(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces]
-    )
+    return mixture([(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces])
 
 
 def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poplotto import density
 from poplotto.density import EPS, PiecewiseDensity, mixture, refine, step_gap
 from poplotto.equilibrium import _flat_violation
 from poplotto.payoff import win_prob
@@ -109,6 +110,40 @@ def mixture_parts(draw):
 @settings(deadline=None, max_examples=200)
 def test_mixture_matches_reference(parts):
     assert same(mixture(parts).to_dict(), oracle.mixture(parts).to_dict())
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # overlapping parts, one of weight zero, sum cell by cell in order
+        [
+            (0.1, PiecewiseDensity((0.0, 2.0), (1.0,), ((1.0, 0.5),))),
+            (0.0, PiecewiseDensity((0.5, 3.0), (2.0,))),
+            (0.2, PiecewiseDensity((1.0, 1.0 + 0.5 * EPS, 3.0), (1.0, 3.0))),
+            (0.3, PiecewiseDensity((1.0, 2.0), (1.0,))),
+        ],
+        # a weight times a height that underflows to 0.0 keeps its edges,
+        # so the edge within EPS above 1.0 merges into it
+        [
+            (1e-320, PiecewiseDensity((1.0, 2.0), (1e-10,))),
+            (1.0, PiecewiseDensity((1.0 + 0.5 * EPS, 3.0), (0.25,))),
+        ],
+        [(2.0, PiecewiseDensity.point(1.0))],
+        [],
+    ],
+    ids=["overlap", "underflow", "atoms only", "empty"],
+)
+def test_mixture_sums_without_refine(parts):
+    """``mixture`` sums its weighted parts on one row, with no ``refine``
+    row per part."""
+
+    def forbidden(*args):
+        raise AssertionError("mixture called refine")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "refine", forbidden)
+        mixed = mixture(parts)
+    assert same(mixed.to_dict(), oracle.mixture(parts).to_dict())
 
 
 @given(density_pairs())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from poplotto import (
     solve,
     step_gap,
     verify_nash,
+    verify_subpop_consistency,
 )
 from poplotto import cli, density, structure
 from poplotto.density import EPS
@@ -626,10 +627,38 @@ def test_replayed_contests_match_the_full_matrix(dist, data):
     assert np.array_equal(replayed, outcome_matrix(candidate).probs)
 
 
+@given(scaled_populations())
+@settings(deadline=None, max_examples=100)
+def test_no_warm_start_swap_passes_every_prefix(dist):
+    """The paper's uniqueness claim: the solved equilibrium is the only one
+    that stays an equilibrium below every budget threshold.  So every
+    warm-start slice swap the rewire search builds (equal thirds of each
+    overlapping league pair's hull overlap, both directions) that moves a
+    strategy fails at least one prefix."""
+    try:
+        sol = solve(dist)
+    except SolverError:
+        reject()
+    for league in leagues(sol):
+        for a, b in combinations(league.members, 2):
+            hull_a = sol.groups[a].strategy.support
+            hull_b = sol.groups[b].strategy.support
+            lo, hi = max(hull_a[0], hull_b[0]), min(hull_a[1], hull_b[1])
+            if hi - lo <= 100.0 * EPS:
+                continue
+            third = (hi - lo) / 3.0
+            for giver, taker in ((a, b), (b, a)):
+                candidate = _slice_swap(sol, giver, taker, 0.5 * (lo + hi), third, third)
+                if candidate is None or candidate.groups == sol.groups:
+                    continue
+                prefixes = verify_subpop_consistency(dist, candidate)
+                assert not all(check.passed for check in prefixes), (giver, taker)
+
+
 def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
     """The full matrix the rewire search judges against is the document's
-    ``matrix_before``, built once; every candidate and the rewired document
-    replay two groups' contests."""
+    ``matrix_before``, built once by ``outcome_matrix`` inside the search;
+    every candidate and the rewired document replay two groups' contests."""
     n = 9
     played = []
     contests = structure._contests
@@ -643,7 +672,6 @@ def test_rewire_command_builds_one_matrix_for_its_document(monkeypatch, capsys):
         raise AssertionError("a second full matrix was built")
 
     monkeypatch.setattr(structure, "_contests", recorded)
-    monkeypatch.setattr(structure, "outcome_matrix", forbidden)
     monkeypatch.setattr(cli, "outcome_matrix", forbidden)
     src = str(Path(__file__).parent / "data" / "nine_rows.json")
     assert cli.main(["rewire", src, "--league", "0", "--seed", "0"]) == 0
