@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .density import EPS, PiecewiseDensity, as_float, refine, stack
+from .density import EPS, PiecewiseDensity, as_float, stack
 from .payoff import win_prob
 
 # Safety net on the per-group mass and mean reconstruction inside solve;
@@ -79,7 +79,11 @@ class DiscreteBudgetDistribution:
         # masses near the float maximum no longer sum to infinity
         shift = math.frexp(max(mass for _, mass in rows))[1]
         scaled = [math.ldexp(mass, -shift) for _, mass in rows]
-        total = sum(scaled)
+        # a left fold from 0.0: the builtin ``sum`` compensates its rounding
+        # from Python 3.12 on, and the shares would change their bits
+        total = 0.0
+        for mass in scaled:
+            total += mass
         object.__setattr__(
             self,
             "entries",
@@ -193,15 +197,6 @@ class EquilibriumSolution:
         return tuple(
             win_prob(g.strategy.normalized(), self.aggregate) for g in self.groups
         )
-
-    @functools.cached_property
-    def cells(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """``refine`` of every strategy on all their breakpoints, as tuples,
-        built on the first read and kept; ``verify_nash`` and the prefix
-        certificate share it."""
-        strategies = self.strategies
-        edges, rows = refine([x for s in strategies for x in s.breakpoints], strategies)
-        return tuple(edges), tuple(map(tuple, rows))
 
     def to_dict(self) -> dict:
         return {

@@ -229,7 +229,11 @@ def subpop_consistency(
     out = []
     for count in range(1, len(sol.groups) + 1):
         kept = sol.groups[:count]
-        share = sum(g.mass for g in kept)
+        # a left fold from 0.0, as the certificate's running sum adds; the
+        # builtin ``sum`` compensates its rounding from Python 3.12 on
+        share = 0.0
+        for g in kept:
+            share += g.mass
         scaled = tuple(
             SubPopulation(g.budget, g.mass / share, g.strategy.scaled(1.0 / share))
             for g in kept

@@ -98,6 +98,9 @@ def test_construction_validation():
         PiecewiseDensity((), (), ((-1.0, 0.5),))
     with pytest.raises(ValueError):
         PiecewiseDensity((), (), ((1.0, -0.5),))
+    for atom in ((math.nan, 0.5), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            PiecewiseDensity((), (), (atom,))
     with pytest.raises(ValueError):
         PiecewiseDensity.uniform(2.0, 2.0)
 

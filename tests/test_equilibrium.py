@@ -380,7 +380,11 @@ def test_subpop_consistency_fails_after_rewire(near_tie_dist, near_tie_sol):
     assert False in verdicts
 
 
-def test_subpop_consistency_rejects_mismatches(pair_dist, pair_sol, wide_sol):
+def test_subpop_consistency_rejects_mismatches(
+    pair_dist, pair_sol, wide_sol, nine_dist
+):
+    with pytest.raises(ValueError, match="same groups"):
+        verify_subpop_consistency(nine_dist, pair_sol)
     with pytest.raises(ValueError):
         verify_subpop_consistency(pair_dist, wide_sol)
     shifted = EquilibriumSolution(
@@ -392,6 +396,12 @@ def test_subpop_consistency_rejects_mismatches(pair_dist, pair_sol, wide_sol):
     )
     with pytest.raises(ValueError):
         verify_subpop_consistency(pair_dist, shifted)
+
+
+def test_worst_deviation_of_no_groups_finds_none(pair_sol):
+    """With no group to search for, there is no dyad and no gain."""
+    sol = EquilibriumSolution((), pair_sol.aggregate)
+    assert worst_deviation(sol) == (None, 0.0)
 
 
 def _assert_prefix_matches(new, count, g, old, agg):
@@ -548,15 +558,13 @@ def test_subpop_consistency_never_mixes(
     monkeypatch, nine_dist, nine_sol, near_tie_dist, near_tie_sol
 ):
     """No ``mixture`` call on any number of groups, and no prefix goes
-    through ``verify_nash`` or ``step_gap``, reports read or not.  The
-    certificates read ``EquilibriumSolution.cells`` and never import
-    ``mixture`` at all."""
+    through ``verify_nash`` or ``step_gap``, reports read or not."""
     rewired = league_rewire(near_tie_sol, 0, seed=0)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("prefix re-certification mixed or compared densities")
 
-    assert not hasattr(equilibrium, "mixture")
+    monkeypatch.setattr(equilibrium, "mixture", forbidden)
     monkeypatch.setattr(equilibrium, "verify_nash", forbidden)
     monkeypatch.setattr(equilibrium, "step_gap", forbidden)
     for dist, sol in ((nine_dist, nine_sol), (near_tie_dist, rewired)):
@@ -597,39 +605,36 @@ def test_payoffs_belong_to_their_solution(near_tie_sol):
 
 
 def test_certificates_refine_the_strategies_once(monkeypatch, nine_dist):
-    """``verify_nash`` and ``verify_subpop_consistency`` share
-    ``EquilibriumSolution.cells``: one ``refine`` of the strategies per
-    solution, not one per certificate."""
+    """``verify_nash`` blends the strategies through one ``mixture`` and
+    makes no ``refine`` of them; each ``verify_subpop_consistency`` call
+    makes exactly one."""
     calls = []
+    mixed = []
 
     def counted(points, densities):
         calls.append(tuple(densities))
         return refine(points, densities)
 
-    for module in (density, payoff, solver):
+    def blended(parts):
+        mixed.append(parts)
+        return mixture(parts)
+
+    assert not hasattr(solver, "refine")
+    for module in (density, payoff, equilibrium):
         monkeypatch.setattr(module, "refine", counted)
+    monkeypatch.setattr(equilibrium, "mixture", blended)
     sol = solve(nine_dist)
+
+    def of_strategies():
+        return [call for call in calls if len(call) == len(sol.groups)]
+
     calls.clear()
     verify_nash(sol, 1e-9)
-    verify_subpop_consistency(nine_dist, sol, 1e-9)
-    verify_nash(sol, 1e-9)
-    assert [call for call in calls if len(call) == len(sol.groups)] == [sol.strategies]
-
-
-def test_cells_belong_to_their_solution(near_tie_sol):
-    """A solution built from another, by ``league_rewire`` or
-    ``dataclasses.replace``, reads its own cells, not the cached ones."""
-    parent = near_tie_sol.cells
-    rewired = league_rewire(near_tie_sol, 0, seed=0)
-    flipped = dataclasses.replace(near_tie_sol, groups=near_tie_sol.groups[::-1])
-    for sol in (rewired, flipped):
-        strategies = sol.strategies
-        points = [x for s in strategies for x in s.breakpoints]
-        edges, rows = refine(points, strategies)
-        assert sol.cells == (tuple(edges), tuple(map(tuple, rows)))
-    assert rewired.cells != parent
-    assert flipped.cells == (parent[0], parent[1][::-1]) != parent
-    assert near_tie_sol.cells is parent
+    assert of_strategies() == []
+    assert mixed == [[(1.0, s) for s in sol.strategies]]
+    for expected in (1, 2):
+        verify_subpop_consistency(nine_dist, sol, 1e-9)
+        assert of_strategies() == [sol.strategies] * expected
 
 
 def test_certificates_never_call_the_solver(

@@ -19,9 +19,11 @@ with ``PYTHONPATH=src python tests/test_golden.py``.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -91,6 +93,30 @@ def test_every_golden_hash_names_a_produced_document(tmp_path):
     for name in POPULATIONS + DICE:
         produced.update(documents(name, tmp_path))
     assert produced == set(golden)
+
+
+@pytest.mark.parametrize("name", ("flooding", "staircase", "nine_rows"))
+def test_documents_do_not_depend_on_the_builtin_sum(
+    name, monkeypatch, tmp_path, capsys
+):
+    """From Python 3.12 on, the builtin ``sum`` compensates its rounding
+    for floats.  With every float ``sum`` made exact by ``math.fsum``, the
+    documents keep their bytes: no sum that reaches one goes through the
+    builtin."""
+    plain = builtins.sum
+
+    def compensated(items, start=0):
+        items = list(items)
+        if items and all(isinstance(x, float) for x in items):
+            return math.fsum([start, *items])
+        return plain(items, start)
+
+    golden = json.loads((DATA / "golden_sha256.json").read_text())
+    monkeypatch.setattr(builtins, "sum", compensated)
+    got = document_hashes(name, tmp_path)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert got == {key: golden[key] for key in got}
 
 
 if __name__ == "__main__":

@@ -103,6 +103,9 @@ def test_dyad_validation_and_weight():
         Dyad(-0.5, 2.0, 1.0)
     with pytest.raises(ValueError):
         Dyad(0.0, 1.0, 1.0)
+    for coords in ((math.nan, 2.0, 1.0), (0.0, math.inf, 1.0), (0.0, 2.0, math.nan)):
+        with pytest.raises(ValueError, match="dyad coordinates must be finite"):
+            Dyad(*coords)
     d = Dyad(0.0, 2.0, 1.5)
     assert d.low_weight == pytest.approx(0.25, abs=1e-15)
     assert d.as_density().total_mass == pytest.approx(1.0, abs=1e-12)

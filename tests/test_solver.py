@@ -19,6 +19,7 @@ from poplotto import (
     quadratic_fill,
     solve,
     step_gap,
+    verify_nash,
     win_prob,
 )
 from poplotto.density import stack
@@ -77,6 +78,34 @@ def test_quadratic_fill_conserves_mass_and_mean():
     )
     assert slab.total_mass == pytest.approx(0.7, abs=1e-12)
     assert slab.mean() == pytest.approx(4.0, abs=1e-12)
+
+
+def test_quadratic_fill_refuses_a_negative_discriminant():
+    # the discriminant is (b + 2 a left)**2 in exact arithmetic; here
+    # left * left underflows to zero and leaves it at 1 - 4e30
+    with pytest.raises(SolverError, match="negative discriminant"):
+        quadratic_fill(1e-170, 1.0, 1.0, 1e200, 0.0)
+
+
+def test_quadratic_fill_refuses_a_wall_on_the_left_edge():
+    # a mean left of the terrace puts the larger root on its left edge
+    with pytest.raises(SolverError, match="degenerate slab"):
+        quadratic_fill(1.0, 2.0, 0.0, 1.0, 0.5)
+
+
+def test_overflow_that_floods_the_whole_mass_ends_the_pour():
+    """A group whose mass floods the last terrace flush to within 1e-12,
+    with its mean within EPS of that terrace's centre, ends its pour in
+    the flood: its slab is the flood block alone, and the two terraces
+    merge into one."""
+    rows = ((1.0, 0.5), (3.0, 0.5 - 2e-4), (3.0 + 1.5e-9, 2e-4 + 5e-13))
+    sol = solve(budget_rows(*rows))
+    assert len(sol.aggregate.heights) == 1
+    assert sol.aggregate.breakpoints == (0.0, 4.0)
+    assert sol.groups[2].strategy.breakpoints == (2.0, 4.0)
+    for g in sol.groups:
+        assert g.strategy.total_mass == pytest.approx(g.mass, abs=1e-12)
+    assert verify_nash(sol).passed
 
 
 def test_wide_fixture_two_terraces(wide_sol):
