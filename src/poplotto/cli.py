@@ -27,6 +27,7 @@ import sys
 from decimal import Context, Decimal
 from pathlib import Path
 
+from .density import REPORT_TOL
 from .equilibrium import verify_linear_bounds, verify_nash, verify_subpop_consistency
 from .solver import DiscreteBudgetDistribution, EquilibriumSolution, SolverError, solve
 from .structure import (
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every command reads both; each declares the rest itself
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--tol", type=_tolerance, default=1e-9, help="violation tolerance"
+        "--tol", type=_tolerance, default=REPORT_TOL, help="violation tolerance"
     )
     shared.add_argument("--out", default=None, help="write machine output here")
     sub = parser.add_subparsers(dest="command", required=True)

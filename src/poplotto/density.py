@@ -6,11 +6,11 @@ interior breakpoint belongs to the segment on its right.  Cumulative queries
 report the mass strictly below a point and the mass sitting exactly on it
 separately, which is what tie-splitting payoffs need.
 
-Construction canonicalizes the representation: breakpoints and atom
-locations within ``EPS`` below zero move onto zero, breakpoints closer than
-``EPS`` are merged, the resulting zero-width segments are dropped,
+Construction canonicalizes the segments in one pass, and the atoms only
+when there are any: locations within ``EPS`` below zero move onto zero,
+breakpoints closer than ``EPS`` merge, dropping the slivers between them,
 zero-height edge segments are trimmed, adjacent segments of identical
-height are coalesced, and coincident atoms are pooled.  Instances are
+height coalesce, and coincident atoms are pooled.  Instances are
 immutable and safe to share across threads; the unit-mass copy that
 ``normalized`` keeps is equal whichever thread builds it.
 """
@@ -19,18 +19,23 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 # numpy loads inside ``sample``, the one method that builds arrays, so
 # importing the package does not pull it in
 if TYPE_CHECKING:
     import numpy as np
 
-# Absolute tolerance shared by every geometric comparison in the package.
+# Absolute resolution of every geometric comparison: closer points merge.
 EPS = 1e-9
+
+# Default violation tolerance of every report; equal to EPS, but its own
+# value, so the resolution can change without moving a verdict.
+REPORT_TOL = 1e-9
 
 
 def as_float(name: str, value: object) -> float:
@@ -41,8 +46,7 @@ def as_float(name: str, value: object) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class CdfValue:
+class CdfValue(NamedTuple):
     """Cumulative mass split into a strictly-below part and an exactly-at part."""
 
     below: float
@@ -60,55 +64,65 @@ class CdfValue:
 
 def _clean_segments(
     breakpoints: Sequence[float], heights: Sequence[float]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    bp = [float(x) for x in breakpoints]
-    hs = [float(h) for h in heights]
-    if any(not math.isfinite(x) for x in bp) or any(not math.isfinite(h) for h in hs):
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Canonical breakpoints and heights, and the mass below each kept
+    breakpoint, checked, merged, trimmed and summed in one pass; the checks
+    raise in the order of separate passes, each over the whole input."""
+    bp = list(map(float, breakpoints))
+    hs = list(map(float, heights))
+    if not (all(map(math.isfinite, bp)) and all(map(math.isfinite, hs))):
         raise ValueError("breakpoints and heights must be finite")
     if not bp and not hs:
-        return (), ()
+        return (), (), (0.0,)
     if len(bp) != len(hs) + 1:
         raise ValueError(
             f"expected one more breakpoint than heights, got {len(bp)} and {len(hs)}"
         )
-    for left, right in zip(bp, bp[1:]):
+    # a start within EPS below zero moves onto zero; a later breakpoint
+    # below zero is within EPS of the start, so it merges away
+    left = bp[0]
+    cursor = 0.0 if left < 0.0 else left
+    out_bp: list[float] = []
+    out_hs: list[float] = []
+    cum = [0.0]
+    negative = False
+    for right, h in zip(bp[1:], hs):
         if right < left - EPS:
             raise ValueError("breakpoints must be increasing")
-    if bp[0] < -EPS:
-        raise ValueError("breakpoints must be non-negative")
-    if bp[0] < 0.0:
-        bp = [max(x, 0.0) for x in bp]
-    for h in hs:
-        if h < -EPS:
-            raise ValueError("heights must be non-negative")
-
-    # Merge breakpoints closer than EPS by skipping the sliver segments.
-    segs: list[tuple[float, float, float]] = []
-    cursor = bp[0]
-    for j, h in enumerate(hs):
-        right = bp[j + 1]
+        left = right
+        if h < 0.0:
+            negative = negative or h < -EPS
+            h = 0.0
+        # a sliver narrower than EPS is skipped and its ends merged
         if right - cursor < EPS:
             continue
-        h = max(h, 0.0)
-        if segs and segs[-1][2] == h:
-            segs[-1] = (segs[-1][0], right, h)
-        else:
-            segs.append((cursor, right, h))
+        if out_hs and out_hs[-1] == h:
+            # equal heights coalesce, the later kept for the sign of a zero
+            out_bp[-1] = right
+            out_hs[-1] = h
+            cum[-1] = cum[-2] + h * (right - out_bp[-2])
+        elif out_hs or h:
+            # zero-height segments before the first positive one are trimmed
+            if not out_bp:
+                out_bp.append(cursor)
+            out_bp.append(right)
+            out_hs.append(h)
+            cum.append(cum[-1] + h * (right - cursor))
         cursor = right
-    while segs and segs[0][2] == 0.0:
-        segs.pop(0)
-    while segs and segs[-1][2] == 0.0:
-        segs.pop()
-    if not segs:
-        return (), ()
-    out_bp = [segs[0][0]] + [s[1] for s in segs]
-    out_hs = [s[2] for s in segs]
-    return tuple(out_bp), tuple(out_hs)
+    if bp[0] < -EPS:
+        raise ValueError("breakpoints must be non-negative")
+    if negative:
+        raise ValueError("heights must be non-negative")
+    if out_hs and not out_hs[-1]:
+        # coalescing leaves at most one zero-height segment at the end
+        del out_bp[-1], out_hs[-1], cum[-1]
+    return tuple(out_bp), tuple(out_hs), tuple(cum)
 
 
 def _clean_atoms(
     atoms: Sequence[tuple[float, float]]
-) -> tuple[tuple[float, float], ...]:
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...], tuple[float, ...]]:
+    """Canonical atoms, their locations, and the atom mass below each."""
     cleaned: list[tuple[float, float]] = []
     for loc, mass in atoms:
         loc = float(loc)
@@ -129,7 +143,12 @@ def _clean_atoms(
             merged[-1] = (merged[-1][0], merged[-1][1] + mass)
         else:
             merged.append((loc, mass))
-    return tuple(merged)
+    locs = tuple(loc for loc, _ in merged)
+    cum = tuple(itertools.accumulate((mass for _, mass in merged), initial=0.0))
+    return tuple(merged), locs, cum
+
+
+_NO_ATOMS = ((), (), (0.0,))  # what ``_clean_atoms`` makes of no atoms
 
 
 @dataclass(frozen=True)
@@ -154,20 +173,14 @@ class PiecewiseDensity:
     )
 
     def __post_init__(self) -> None:
-        bp, hs = _clean_segments(self.breakpoints, self.heights)
-        atoms = _clean_atoms(self.atoms)
-        seg_cum = [0.0]
-        for j, h in enumerate(hs):
-            seg_cum.append(seg_cum[-1] + h * (bp[j + 1] - bp[j]))
-        atom_cum = [0.0]
-        for _, mass in atoms:
-            atom_cum.append(atom_cum[-1] + mass)
+        bp, hs, seg_cum = _clean_segments(self.breakpoints, self.heights)
+        atoms, locs, atom_cum = _clean_atoms(self.atoms) if self.atoms else _NO_ATOMS
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "heights", hs)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_seg_cum", tuple(seg_cum))
-        object.__setattr__(self, "_atom_locs", tuple(a[0] for a in atoms))
-        object.__setattr__(self, "_atom_cum", tuple(atom_cum))
+        object.__setattr__(self, "_seg_cum", seg_cum)
+        object.__setattr__(self, "_atom_locs", locs)
+        object.__setattr__(self, "_atom_cum", atom_cum)
 
     @classmethod
     def uniform(cls, lo: float, hi: float, mass: float = 1.0) -> "PiecewiseDensity":
@@ -193,7 +206,8 @@ class PiecewiseDensity:
     @property
     def first_moment(self) -> float:
         moment = 0.0
-        for lo, hi, h in self.segments():
+        bp = self.breakpoints
+        for lo, hi, h in zip(bp, bp[1:], self.heights):
             moment += h * (hi * hi - lo * lo) / 2.0
         for loc, mass in self.atoms:
             moment += mass * loc
@@ -273,8 +287,8 @@ class PiecewiseDensity:
             raise ValueError("scale factor must be non-negative and finite")
         return PiecewiseDensity(
             self.breakpoints,
-            tuple(h * factor for h in self.heights),
-            tuple((loc, mass * factor) for loc, mass in self.atoms),
+            tuple([h * factor for h in self.heights]),
+            tuple([(loc, mass * factor) for loc, mass in self.atoms]),
         )
 
     def normalized(self) -> "PiecewiseDensity":
@@ -357,9 +371,9 @@ def _add_segments(
         return
     j = max(bisect.bisect_right(bp, edges[0]) - 1, 0)
     lo = max(bisect.bisect_right(edges, bp[j]) - 1, 0)
-    # every later breakpoint lies above edges[0], so its index needs no clamp
+    # later breakpoints lie above edges[0] and rise: no clamp, no index below lo
     for x, h in zip(bp[j + 1 :], hs[j:]):
-        hi = bisect.bisect_right(edges, x) - 1
+        hi = bisect.bisect_right(edges, x, lo) - 1
         row[lo:hi] = [v + h for v in row[lo:hi]]
         if x >= edges[-1]:
             break
@@ -435,11 +449,26 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
 def stack(pieces: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
     """Sum of constant-height float pieces ``(lo, hi, height)``, built once.
 
-    Each piece is checked and cleaned by the rules of the one-segment
-    density ``PiecewiseDensity((lo, hi), (height,))``, raising what it
-    raises, and the cleaned pieces are summed in piece order by
-    ``_summed``, the sum ``mixture`` makes.
+    Each piece is checked by the rules of the one-segment density
+    ``PiecewiseDensity((lo, hi), (height,))``, raising what it raises, and
+    dropped where that density is zero: narrower than ``EPS`` once a start
+    within ``EPS`` below zero moves onto zero, or not above zero in height.
+    The kept pieces are summed in piece order by ``_summed``, the sum
+    ``mixture`` makes.
     """
-    kept = [_clean_segments((lo, hi), (h,)) for lo, hi, h in pieces]
+    kept = []
+    for lo, hi, h in pieces:
+        lo, hi, h = float(lo), float(hi), float(h)
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(h)):
+            raise ValueError("breakpoints and heights must be finite")
+        if hi < lo - EPS:
+            raise ValueError("breakpoints must be increasing")
+        if lo < -EPS:
+            raise ValueError("breakpoints must be non-negative")
+        if h < -EPS:
+            raise ValueError("heights must be non-negative")
+        lo = max(lo, 0.0)
+        if hi - lo >= EPS and h > 0.0:
+            kept.append(((lo, hi), (h,)))
     edges, heights = _summed(kept)
     return PiecewiseDensity(tuple(edges), tuple(heights))

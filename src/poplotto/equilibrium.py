@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .density import EPS, PiecewiseDensity, mixture, refine, step_gap
+from .density import EPS, REPORT_TOL, PiecewiseDensity, mixture, refine, step_gap
 from .payoff import Dyad, dyad_payoff
 from .solver import EquilibriumSolution, DiscreteBudgetDistribution
 from .solver import positive_finite
@@ -181,7 +181,7 @@ def _shape_checks(aggregate: PiecewiseDensity) -> dict:
     }
 
 
-def verify_nash(sol: EquilibriumSolution, tol: float = EPS) -> EquilibriumReport:
+def verify_nash(sol: EquilibriumSolution, tol: float = REPORT_TOL) -> EquilibriumReport:
     """Certify the staircase conditions on a candidate solution.
 
     Checks that the aggregate density never increases, that no cumulative
@@ -224,7 +224,7 @@ def _chord_intercept(
 
 
 def verify_linear_bounds(
-    sol: EquilibriumSolution, tol: float = EPS
+    sol: EquilibriumSolution, tol: float = REPORT_TOL
 ) -> EquilibriumReport:
     """Certify the chord conditions on a candidate solution.
 
@@ -362,7 +362,7 @@ def best_dyad(budget: float, aggregate: PiecewiseDensity) -> tuple[Dyad, float]:
 
 
 def worst_deviation(
-    sol: EquilibriumSolution, tol: float = EPS
+    sol: EquilibriumSolution, tol: float = REPORT_TOL
 ) -> tuple[Dyad | None, float]:
     """Best dyad gain across all groups; the global deviation certificate.
 
@@ -389,7 +389,7 @@ def worst_deviation(
     return worst_dyad, worst_gain
 
 
-def payoff_identity_check(sol: EquilibriumSolution, tol: float = EPS) -> float:
+def payoff_identity_check(sol: EquilibriumSolution, tol: float = REPORT_TOL) -> float:
     """Max gap between each group's payoff and the aggregate cumulative value
     at its budget.  At equilibrium the two coincide, which pins every
     pairwise outcome without computing it.  ``tol`` is accepted for call
@@ -401,7 +401,7 @@ def payoff_identity_check(sol: EquilibriumSolution, tol: float = EPS) -> float:
 
 
 def verify_subpop_consistency(
-    dist: DiscreteBudgetDistribution, sol: EquilibriumSolution, tol: float = EPS
+    dist: DiscreteBudgetDistribution, sol: EquilibriumSolution, tol: float = REPORT_TOL
 ) -> list[PrefixCheck]:
     """Re-certify every budget-truncated prefix of the solution.
 
@@ -471,8 +471,8 @@ def verify_subpop_consistency(
             continue
         lo, hi = hull
         # the cells with right - lo >= EPS and hi - left >= EPS
-        start = bisect.bisect_left(rights, EPS, key=lambda x: x - lo)
-        stop = bisect.bisect_right(lefts, -EPS, key=lambda x: x - hi)
+        start = bisect.bisect_left(rights, EPS, key=lo.__rsub__)
+        stop = bisect.bisect_right(lefts, -EPS, key=hi.__rsub__)
         if start < stop:
             seen = level[k:, start:stop]
             outside = edges[0] - lo >= EPS or hi - edges[-1] >= EPS

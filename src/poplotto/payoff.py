@@ -82,7 +82,8 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     Both inputs must be normalized.  Exact per cell: within a cell the
     opponent's cumulative mass is linear, so the integral of ``f`` against
     it is a rectangle plus a triangle.  Both are read on ``refine``'s cells,
-    only on the window of the union grid where ``f`` has a height: from its
+    ``h`` by ``refine``'s edge rule only where ``f`` is positive, and only
+    on the window of the union grid where ``f`` has a height: from its
     first breakpoint, walked back to a point that every merge chain keeps,
     through its last.  Those cells are the whole grid's, read in the same
     order.  When ``refine`` merges the largest point into the last cell,
@@ -99,10 +100,15 @@ def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:
     if bp:
         first = _kept(pts, bisect.bisect_left(pts, bp[0]))
         stop = bisect.bisect_right(pts, bp[-1])
-        edges, (f_heights, h_heights) = refine(pts[first:stop], (f, h))
-        for lo, hi, f_height, h_height in zip(edges, edges[1:], f_heights, h_heights):
+        edges, (f_heights,) = refine(pts[first:stop], (f,))
+        h_bp, h_hs = h.breakpoints, h.heights
+        for lo, hi, f_height in zip(edges, edges[1:], f_heights):
             if f_height <= 0.0:
                 continue
+            # refine's height of h here, each breakpoint read as the kept
+            # edge at or below it: its segment from below hi to hi or past
+            j = bisect.bisect_left(h_bp, hi) - 1
+            h_height = h_hs[j] if 0 <= j < len(h_hs) else 0.0
             start = h.cdf(lo)
             width = hi - lo
             total += f_height * (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .density import EPS, PiecewiseDensity, _summed, mixture, stack
+from .density import EPS, REPORT_TOL, PiecewiseDensity, _summed, mixture, stack
 from .payoff import win_prob
 from .solver import (
     DiscreteBudgetDistribution,
@@ -94,7 +94,7 @@ def _height_classes(
     return classes
 
 
-def leagues(sol: EquilibriumSolution, tol: float = EPS) -> LeaguePartition:
+def leagues(sol: EquilibriumSolution, tol: float = REPORT_TOL) -> LeaguePartition:
     """Partition groups by the aggregate height at their budgets.
 
     A budget sitting exactly on a breakpoint reads the height of the
@@ -151,7 +151,7 @@ class SubLeagueReport:
 
 
 def sub_leagues(
-    dist: DiscreteBudgetDistribution, tol: float = EPS
+    dist: DiscreteBudgetDistribution, tol: float = REPORT_TOL
 ) -> SubLeagueReport:
     """Find latent leagues: sets that are leagues only below some cutoff.
 
@@ -325,7 +325,7 @@ _NOTIONS = (
 
 
 def transitivity_report(
-    matrix: OutcomeMatrix, tol: float = EPS
+    matrix: OutcomeMatrix, tol: float = REPORT_TOL
 ) -> TransitivityReport:
     """Audit every ordered triple against five notions.
 
@@ -383,6 +383,9 @@ def transitivity_report(
                 certain & wins & falls,
             )
             for name, mask in zip(_NOTIONS, masks):
+                # most masks are empty, which ``any`` tells faster than ``nonzero``
+                if not mask.any():
+                    continue
                 j, k = np.nonzero(mask)
                 found[name].extend(
                     zip(
@@ -515,7 +518,7 @@ def league_rewire(
     sol: EquilibriumSolution,
     league_index: int,
     seed: int = 0,
-    tol: float = EPS,
+    tol: float = REPORT_TOL,
 ) -> EquilibriumSolution:
     """Reshape outcomes inside one league without touching the aggregate.
 
@@ -531,7 +534,7 @@ def league_rewire(
 
 
 def _rewire(
-    sol: EquilibriumSolution, league_index: int, tol: float = EPS
+    sol: EquilibriumSolution, league_index: int, tol: float = REPORT_TOL
 ) -> tuple[EquilibriumSolution, np.ndarray, np.ndarray]:
     """``league_rewire``, with the solved outcome matrix it judged
     candidates against and the rewired one."""
@@ -660,7 +663,7 @@ def export_digraph(
     partition: LeaguePartition,
     fmt: str = "dot",
     budgets: Sequence[float] | None = None,
-    tol: float = EPS,
+    tol: float = REPORT_TOL,
 ) -> str:
     """Render the outcome digraph, leagues as clusters.
 

@@ -21,6 +21,12 @@ before it read the best dyad off the upper concave envelope;
 ``support_runs`` is the two-pass loop ``PiecewiseDensity.support_runs``
 ran before it merged once: it joined touching segments first and merged
 them with the atoms after; ``tests/test_density.py`` compares the two.
+``clean_segments`` is the canonicalisation ``PiecewiseDensity`` made in
+separate passes before it checked, merged, trimmed and summed in one, and
+``segment_mass_below`` the running mass it then summed over the result;
+``stack`` is ``density.stack`` as it cleaned every piece through that
+general routine before it checked each piece by the one-segment rules in
+place; ``tests/test_density.py`` compares each with its rewrite.
 ``pour_slab`` is the slab ``solver._pour_group`` built before
 ``density.stack`` built it in one construction: the unit-weight mixture
 of one one-segment density per poured piece, summed by this module's
@@ -134,6 +140,69 @@ def mixture(parts: Sequence[tuple[float, PiecewiseDensity]]) -> PiecewiseDensity
 
 def pour_slab(pieces: Sequence[tuple[float, float, float]]) -> PiecewiseDensity:
     return mixture([(1.0, PiecewiseDensity((lo, hi), (h,))) for lo, hi, h in pieces])
+
+
+def clean_segments(
+    breakpoints: Sequence[float], heights: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The canonical segments as construction made them in separate passes:
+    convert, check, clamp a start within EPS below zero, merge slivers and
+    equal heights, then trim zero-height ends."""
+    bp = [float(x) for x in breakpoints]
+    hs = [float(h) for h in heights]
+    if any(not math.isfinite(x) for x in bp) or any(not math.isfinite(h) for h in hs):
+        raise ValueError("breakpoints and heights must be finite")
+    if not bp and not hs:
+        return (), ()
+    if len(bp) != len(hs) + 1:
+        raise ValueError(
+            f"expected one more breakpoint than heights, got {len(bp)} and {len(hs)}"
+        )
+    for left, right in zip(bp, bp[1:]):
+        if right < left - EPS:
+            raise ValueError("breakpoints must be increasing")
+    if bp[0] < -EPS:
+        raise ValueError("breakpoints must be non-negative")
+    if bp[0] < 0.0:
+        bp = [max(x, 0.0) for x in bp]
+    for h in hs:
+        if h < -EPS:
+            raise ValueError("heights must be non-negative")
+    segs: list[tuple[float, float, float]] = []
+    cursor = bp[0]
+    for j, h in enumerate(hs):
+        right = bp[j + 1]
+        if right - cursor < EPS:
+            continue
+        h = max(h, 0.0)
+        if segs and segs[-1][2] == h:
+            segs[-1] = (segs[-1][0], right, h)
+        else:
+            segs.append((cursor, right, h))
+        cursor = right
+    while segs and segs[0][2] == 0.0:
+        segs.pop(0)
+    while segs and segs[-1][2] == 0.0:
+        segs.pop()
+    if not segs:
+        return (), ()
+    return (segs[0][0], *(s[1] for s in segs)), tuple(s[2] for s in segs)
+
+
+def segment_mass_below(bp: Sequence[float], hs: Sequence[float]) -> tuple[float, ...]:
+    """The mass below each breakpoint, summed left to right from 0.0."""
+    cum = [0.0]
+    for j, h in enumerate(hs):
+        cum.append(cum[-1] + h * (bp[j + 1] - bp[j]))
+    return tuple(cum)
+
+
+def stack(pieces: Sequence[tuple[float, float, float]]) -> PiecewiseDensity:
+    """Each piece cleaned as its one-segment density, then summed by
+    ``density._summed``."""
+    kept = [clean_segments((lo, hi), (h,)) for lo, hi, h in pieces]
+    edges, heights = density._summed(kept)
+    return PiecewiseDensity(tuple(edges), tuple(heights))
 
 
 def win_prob(f: PiecewiseDensity, h: PiecewiseDensity) -> float:

@@ -380,3 +380,118 @@ def gapped_densities(draw):
 @settings(deadline=None, max_examples=200)
 def test_support_runs_merge_once_as_the_two_pass_loop(d):
     assert d.support_runs() == oracle.support_runs(d)
+
+
+def pick(draw, odds, common, rare):
+    """One of ``common``, or one time in ``odds`` one of ``rare``, never
+    when ``odds`` is 0; each pool is a list of values or a strategy."""
+    pool = rare if odds and draw(st.integers(1, odds)) == 1 else common
+    return draw(pool if isinstance(pool, st.SearchStrategy) else st.sampled_from(pool))
+
+
+# How often a drawn example takes a rare value: half never, so their
+# values are compared, and a quarter often, so errors meet and their
+# order shows.
+ODDS = st.sampled_from([0, 0, 20, 3])
+
+
+# Steps between breakpoints: slivers under EPS, the EPS boundary itself and
+# wide steps; rarely a step back, within EPS or past it.
+STEPS = (
+    [1e-12, 0.5 * EPS, EPS, 1.5 * EPS, 0.25, 1.0 / 3.0, 1.0],
+    [-0.5 * EPS, -2.0 * EPS],
+)
+# Repeated values, so equal adjacent heights are common, zeros of both
+# signs and a negative within EPS of zero; rarely one past it.
+HEIGHTS = ([0.0, -0.0, -0.5 * EPS, 0.5, 0.5, 1.0, 0.1], [-2.0 * EPS, 2.0])
+# Starts on zero and within EPS below it; rarely past that or anywhere.
+STARTS = (
+    [0.0, -0.0, -0.5 * EPS, -EPS, 0.75],
+    st.sampled_from([-2.0 * EPS]) | st.floats(0.0, 2.0),
+)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def raw_segments(draw):
+    """Breakpoints and heights as a caller may pass them: mostly well
+    formed, one time in ten with a value that is not finite, or one
+    breakpoint too few or one height too many."""
+    odds = draw(ODDS)
+    bp = [pick(draw, odds, *STARTS)]
+    hs = []
+    for _ in range(draw(st.integers(0, 7))):
+        bp.append(bp[-1] + pick(draw, odds, *STEPS))
+        hs.append(pick(draw, odds, *HEIGHTS))
+    damage = draw(st.integers(0, 29))
+    if damage == 0:
+        k = draw(st.integers(0, len(bp) + len(hs) - 1))
+        if k < len(bp):
+            bp[k] = draw(st.sampled_from(NON_FINITE))
+        else:
+            hs[k - len(bp)] = draw(st.sampled_from(NON_FINITE))
+    elif damage == 1:
+        bp.pop()
+    elif damage == 2:
+        hs.append(pick(draw, odds, *HEIGHTS))
+    return bp, hs
+
+
+@st.composite
+def pour_pieces(draw):
+    """Pieces as a pour records them: nested spans over shared edges, some
+    narrower than EPS; rarely one whose ends are swapped or whose height is
+    not finite."""
+    odds = draw(ODDS)
+    edges = [pick(draw, odds, *STARTS)]
+    for _ in range(draw(st.integers(1, 5))):
+        edges.append(edges[-1] + pick(draw, odds, *STEPS))
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(edges) - 1))
+        k = draw(st.integers(i, len(edges) - 1))
+        if pick(draw, odds, [False], [True]):
+            i, k = k, i
+        height = pick(draw, odds, HEIGHTS[0], HEIGHTS[1] + NON_FINITE)
+        pieces.append((edges[i], edges[k], height))
+    return pieces
+
+
+def built_or_error(build) -> str:
+    """``repr`` of what ``build()`` returns, exact to the bit and the sign
+    of zero for finite floats, or the ``ValueError`` it raises."""
+    try:
+        return repr(build())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def canonical(d):
+    """A density's canonical tuples and the mass below each breakpoint."""
+    return d.breakpoints, d.heights, d._seg_cum
+
+
+@given(raw_segments())
+@settings(deadline=None, max_examples=1000)
+def test_construction_matches_the_separate_passes(raw):
+    """One pass checks, merges, trims and sums as the separate passes did:
+    the same tuples bit for bit, or the same error."""
+    bp, hs = raw
+
+    def in_passes():
+        kept = oracle.clean_segments(bp, hs)
+        return (*kept, oracle.segment_mass_below(*kept))
+
+    assert built_or_error(
+        lambda: canonical(PiecewiseDensity(bp, hs))
+    ) == built_or_error(in_passes)
+
+
+@given(pour_pieces())
+@settings(deadline=None, max_examples=1000)
+def test_stack_checks_pieces_as_one_segment_densities_do(pieces):
+    """Each piece checked in place gives the slab, or the error, that
+    cleaning it as a one-segment density gave."""
+    assert built_or_error(lambda: canonical(stack(pieces))) == built_or_error(
+        lambda: canonical(oracle.stack(pieces))
+    )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from tests.conftest import (
     near_equal_populations,
     scaled_populations,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("budget", [0.5, 1.0, 7.0])
@@ -422,7 +426,11 @@ def test_stacked_slab_refuses_what_a_segment_refuses(piece, message):
 
 def test_solve_builds_each_slab_once(monkeypatch, nine_dist):
     """``solve`` constructs one density per group and one aggregate: no
-    density per poured piece and no mixture of them."""
+    density per poured piece and no mixture of them; the payoffs then
+    build at most one unit-mass copy per group."""
+    flooding = DiscreteBudgetDistribution.from_dict(
+        json.loads((DATA / "flooding.json").read_text())
+    )
     built = []
     post_init = PiecewiseDensity.__post_init__
 
@@ -431,5 +439,10 @@ def test_solve_builds_each_slab_once(monkeypatch, nine_dist):
         post_init(self)
 
     monkeypatch.setattr(PiecewiseDensity, "__post_init__", counted)
-    sol = solve(nine_dist)
-    assert len(built) == len(sol.groups) + 1 == 10
+    for dist in (nine_dist, flooding):
+        built.clear()
+        sol = solve(dist)
+        assert len(built) == len(sol.groups) + 1
+        built.clear()
+        sol.payoffs
+        assert 0 < len(built) <= len(sol.groups)
